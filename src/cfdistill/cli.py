@@ -20,31 +20,40 @@ import json
 import sys
 from pathlib import Path
 
-from . import fileio
-from .als import AlsConfig, als_fit, build_interaction_matrix, parse_log_file, save_embedding
+from .als import AlsConfig, parse_log_file
 from .experiment import (
+    ALL_STAGES,
     StageError,
+    fit_embedding,
     load_manifest,
+    make_config,
+    read_audio_dir,
     read_results_csv,
     run_experiment,
     summarize_results,
+    write_features,
     write_world,
 )
-from .features import FeatureConfig, Waveform, melspectrogram
+from .features import FeatureConfig
 from .world import WorldConfig, generate_world
 
 
-def _read_json(path):
+def _read_config(path, section):
+    """A config JSON object; settings nested under ``section`` are also accepted."""
+    if path is None:
+        return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object, got {type(config).__name__}")
+    return config.get(section, config)
 
 
 def _cmd_generate_world(args):
-    config_dict = _read_json(args.config)
-    config_dict = config_dict.get("world", config_dict)
+    config_dict = _read_config(args.config, "world")
     if args.seed is not None:
         config_dict["seed"] = args.seed
-    world = generate_world(WorldConfig(**config_dict))
+    world = generate_world(make_config(WorldConfig, config_dict, "world"))
     write_world(world, args.out)
     print(
         f"wrote world: {world.config.n_users} users, {world.config.n_items} items, "
@@ -54,14 +63,11 @@ def _cmd_generate_world(args):
 
 
 def _cmd_als_fit(args):
-    overrides = _read_json(args.config) if args.config else {}
-    overrides = overrides.get("als", overrides)
+    overrides = _read_config(args.config, "als")
     if args.seed is not None:
         overrides["seed"] = args.seed
-    config = AlsConfig(**overrides)
-    matrix = build_interaction_matrix(parse_log_file(args.logs))
-    embedding = als_fit(matrix, config)
-    save_embedding(embedding, args.out, meta={"alpha": config.alpha, "reg_lambda": config.reg_lambda})
+    config = make_config(AlsConfig, overrides, "als")
+    matrix, _ = fit_embedding(parse_log_file(args.logs), config, args.out)
     print(
         f"factorized {matrix.n_users}x{matrix.n_items} matrix "
         f"({matrix.nnz} non-zeros) into {config.n_factors} factors -> {args.out}"
@@ -70,61 +76,31 @@ def _cmd_als_fit(args):
 
 
 def _cmd_features(args):
-    overrides = _read_json(args.config) if args.config else {}
-    overrides = overrides.get("features", overrides)
-    config = FeatureConfig(**overrides)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index = {}
-    for path in fileio.list_audio_files(args.audio_dir):
-        samples, rate = fileio.read_audio(path, expect_rate=config.sample_rate)
-        mel = melspectrogram(Waveform(samples, rate), config)
-        digest = fileio.content_hash(samples, sorted(vars(config).items()))
-        fileio.save_float_table(
-            out_dir / f"{digest}.ftab",
-            [f"mel_{i:03d}" for i in range(mel.n_mels)],
-            mel.grid,
-            meta={"item_id": path.stem, "n_frames": mel.n_frames},
-        )
-        index[path.stem] = {"hash": digest, "path": f"{digest}.ftab"}
-    with open(out_dir / "index.json", "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"extracted {len(index)} mel grids -> {args.out}")
+    config = make_config(FeatureConfig, _read_config(args.config, "features"), "features")
+    grids = write_features(*read_audio_dir(args.audio_dir, config.sample_rate), config, args.out)
+    print(f"extracted {len(grids)} mel grids -> {args.out}")
     return 0
 
 
-def _resolve_out_dir(args, manifest):
-    out = args.out or manifest.get("output_dir")
-    if not out:
-        raise ValueError("no output directory: pass --out or set output_dir in the manifest")
-    return out
+# Manifest subcommands: the stages each runs and the line it prints.
+MANIFEST_COMMANDS = {
+    "train-estimator": (
+        ("world", "als", "features", "estimator"),
+        "estimator trained -> {out}/checkpoints/cf_estimator.npz",
+    ),
+    "train-task": (("world", "features", "tasks"), "trained {n} task cells -> {out}/results.csv"),
+    "run": (ALL_STAGES, "pipeline complete: {n} result rows -> {out}/results.csv"),
+}
 
 
-def _run_stages(args, stages):
+def _cmd_manifest(args):
     manifest = load_manifest(args.manifest)
-    out_dir = _resolve_out_dir(args, manifest)
-    results = run_experiment(
-        manifest, out_dir, deterministic=args.deterministic, stages=stages
-    )
-    return manifest, out_dir, results
-
-
-def _cmd_train_estimator(args):
-    _, out_dir, _ = _run_stages(args, ("world", "als", "features", "estimator"))
-    print(f"estimator trained -> {Path(out_dir) / 'checkpoints' / 'cf_estimator.npz'}")
-    return 0
-
-
-def _cmd_train_task(args):
-    _, out_dir, results = _run_stages(args, ("world", "features", "tasks"))
-    print(f"trained {len(results)} task cells -> {Path(out_dir) / 'results.csv'}")
-    return 0
-
-
-def _cmd_run(args):
-    _, out_dir, results = _run_stages(args, ("world", "als", "features", "estimator", "tasks"))
-    print(f"pipeline complete: {len(results)} result rows -> {Path(out_dir) / 'results.csv'}")
+    out_dir = args.out or manifest.get("output_dir")
+    if not out_dir:
+        raise ValueError("no output directory: pass --out or set output_dir in the manifest")
+    stages, summary = MANIFEST_COMMANDS[args.command]
+    results = run_experiment(manifest, out_dir, deterministic=args.deterministic, stages=stages)
+    print(summary.format(n=len(results), out=Path(out_dir)))
     return 0
 
 
@@ -167,15 +143,11 @@ def build_parser():
 
     p = sub.add_parser("features", help="extract mel grids for an audio directory")
     p.add_argument("audio_dir", help="directory of .wav / .f32 files")
-    p.add_argument("out", help="output cache directory")
+    p.add_argument("out", help="output directory, one <item_id>.ftab per file")
     p.add_argument("--config", default=None, help="feature config JSON")
     p.set_defaults(fn=_cmd_features)
 
-    for name, fn in [
-        ("train-estimator", _cmd_train_estimator),
-        ("train-task", _cmd_train_task),
-        ("run", _cmd_run),
-    ]:
+    for name in MANIFEST_COMMANDS:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} from a manifest")
         p.add_argument("manifest", help="experiment manifest JSON")
         p.add_argument("--out", default=None, help="output directory (overrides manifest)")
@@ -184,7 +156,7 @@ def build_parser():
             action="store_true",
             help="byte-reproducible outputs (wall times written as 0)",
         )
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_manifest)
 
     p = sub.add_parser("evaluate", help="summarize a results.csv")
     p.add_argument("results", help="results.csv path")
@@ -197,10 +169,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StageError as exc:
-        print(f"cfdistill: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (StageError, ValueError, KeyError, OSError) as exc:
         print(f"cfdistill: error: {exc}", file=sys.stderr)
         return 1
 

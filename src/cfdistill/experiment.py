@@ -14,6 +14,7 @@ deterministic mode.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -32,7 +33,7 @@ from .als import (
 )
 from .evaluation import plain_split, stratified_kfold, stratified_split
 from .features import FeatureConfig, Waveform, melspectrogram
-from .nn.network import PRESETS, build_network, load_checkpoint, save_checkpoint
+from .nn.network import PRESETS, load_checkpoint, save_checkpoint
 from .transfer import (
     RegimeConfig,
     TaskData,
@@ -64,6 +65,8 @@ def load_manifest(path):
 
 
 def validate_manifest(manifest):
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"manifest schema_version must be {SCHEMA_VERSION}, "
@@ -78,6 +81,14 @@ def validate_manifest(manifest):
     for key in ("task", "architecture", "estimator", "split"):
         if key not in manifest:
             raise ValueError(f"manifest is missing the {key!r} section")
+
+
+def make_config(cls, values, section):
+    """``cls(**values)``, rejecting keys that are not fields of ``cls``."""
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} key {unknown[0]!r}")
+    return cls(**values)
 
 
 def _task_spec(manifest) -> TaskSpec:
@@ -134,6 +145,8 @@ def _load_labels_csv(path, kind):
             if not line:
                 continue
             item_id, value = line.split(",")
+            if item_id in labels:
+                raise ValueError(f"{path}: duplicate item id {item_id!r}")
             labels[item_id] = int(value) if kind == "classification" else float(value)
     return labels
 
@@ -142,7 +155,7 @@ def _stage_world(ctx):
     manifest = ctx["manifest"]
     task = ctx["task"]
     if "world" in manifest:
-        config = WorldConfig(**manifest["world"])
+        config = make_config(WorldConfig, manifest["world"], "world")
         if config.task_kind != task.kind:
             raise ValueError(
                 f"world task_kind {config.task_kind!r} != manifest task kind {task.kind!r}"
@@ -153,7 +166,6 @@ def _stage_world(ctx):
         ctx["item_ids"] = world.item_ids
         ctx["waveforms"] = world.waveforms
         ctx["labels"] = np.asarray(world.labels)
-        ctx["world"] = world
     else:
         paths = manifest["datasets"]
         for key in ("logs", "audio_dir", "labels"):
@@ -162,12 +174,8 @@ def _stage_world(ctx):
             if not Path(paths[key]).exists():
                 raise ValueError(f"dataset path does not exist: {paths[key]}")
         ctx["logs"] = parse_log_file(paths["logs"])
-        files = fileio.list_audio_files(paths["audio_dir"])
         rate = manifest.get("features", {}).get("sample_rate", 16000)
-        ctx["item_ids"] = [f.stem for f in files]
-        ctx["waveforms"] = [
-            Waveform(*fileio.read_audio(f, expect_rate=rate)) for f in files
-        ]
+        ctx["item_ids"], ctx["waveforms"] = read_audio_dir(paths["audio_dir"], rate)
         label_map = _load_labels_csv(paths["labels"], task.kind)
         missing = [i for i in ctx["item_ids"] if i not in label_map]
         if missing:
@@ -175,41 +183,45 @@ def _stage_world(ctx):
         ctx["labels"] = np.asarray([label_map[i] for i in ctx["item_ids"]])
 
 
-def _stage_als(ctx):
-    manifest = ctx["manifest"]
-    config = AlsConfig(**manifest.get("als", {}))
-    matrix = build_interaction_matrix(ctx["logs"])
+def read_audio_dir(audio_dir, sample_rate):
+    """Item ids (file stems) and waveforms of the audio files in a directory."""
+    files = fileio.list_audio_files(audio_dir)
+    waveforms = [Waveform(*fileio.read_audio(f, expect_rate=sample_rate)) for f in files]
+    return [f.stem for f in files], waveforms
+
+
+def fit_embedding(logs, config: AlsConfig, path):
+    """Factorize listening logs, save the item table; returns (matrix, embedding)."""
+    matrix = build_interaction_matrix(logs)
     embedding = als_fit(matrix, config)
-    save_embedding(
-        embedding,
-        ctx["out_dir"] / "embeddings" / "item_embeddings.ftab",
-        meta={"alpha": config.alpha, "reg_lambda": config.reg_lambda},
-    )
-    ctx["embedding"] = embedding
+    save_embedding(embedding, path, meta={"alpha": config.alpha, "reg_lambda": config.reg_lambda})
+    return matrix, embedding
 
 
-def _stage_features(ctx):
-    manifest = ctx["manifest"]
-    config = FeatureConfig(**manifest.get("features", {}))
-    feature_dir = ctx["out_dir"] / "features"
-    feature_dir.mkdir(parents=True, exist_ok=True)
+def write_features(item_ids, waveforms, config: FeatureConfig, out_dir):
+    """Save each mel grid as ``<out_dir>/<item_id>.ftab``; returns {item_id: grid}."""
     grids = {}
-    index = {}
-    for item_id, wave in zip(ctx["item_ids"], ctx["waveforms"]):
+    for item_id, wave in zip(item_ids, waveforms):
         mel = melspectrogram(wave, config)
-        digest = fileio.content_hash(wave.samples, sorted(vars(config).items()))
-        path = feature_dir / f"{digest}.ftab"
         fileio.save_float_table(
-            path,
+            Path(out_dir) / f"{item_id}.ftab",
             [f"mel_{i:03d}" for i in range(mel.n_mels)],
             mel.grid,
             meta={"item_id": item_id, "n_frames": mel.n_frames},
         )
         grids[item_id] = mel.grid
-        index[item_id] = {"hash": digest, "path": path.name}
-    with open(feature_dir / "index.json", "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return grids
+
+
+def _stage_als(ctx):
+    config = make_config(AlsConfig, ctx["manifest"].get("als", {}), "als")
+    path = ctx["out_dir"] / "embeddings" / "item_embeddings.ftab"
+    _, ctx["embedding"] = fit_embedding(ctx["logs"], config, path)
+
+
+def _stage_features(ctx):
+    config = make_config(FeatureConfig, ctx["manifest"].get("features", {}), "features")
+    grids = write_features(ctx["item_ids"], ctx["waveforms"], config, ctx["out_dir"] / "features")
     shapes = {g.shape for g in grids.values()}
     if len(shapes) != 1:
         raise ValueError(f"inconsistent mel grid shapes: {sorted(shapes)}")
@@ -271,12 +283,11 @@ def _stage_estimator(ctx):
         ctx["out_dir"] / "checkpoints" / "cf_estimator.npz",
         extra={"preset": manifest["architecture"].get("preset", "cf_estimator_desk")},
     )
-    curve_dir = ctx["out_dir"] / "curves"
-    curve_dir.mkdir(parents=True, exist_ok=True)
-    with open(curve_dir / "estimator.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for row in info["curve"]:
-            fh.write(f"{row['epoch']},{row['train_loss']:.8f},{row['val_loss']:.8f}\n")
+    _write_csv(
+        ctx["out_dir"] / "curves" / "estimator.csv",
+        "epoch,train_loss,val_loss",
+        (row.values() for row in info["curve"]),
+    )
     ctx["estimator"] = model
 
 
@@ -330,8 +341,6 @@ def _stage_tasks(ctx):
     task_name = manifest["task"].get("name", task.kind)
 
     out_dir = ctx["out_dir"]
-    (out_dir / "curves").mkdir(parents=True, exist_ok=True)
-    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     results = []
     fold_records = []
@@ -355,15 +364,10 @@ def _stage_tasks(ctx):
                 test_idx=test_idx,
             )
             for regime_dict in manifest["regimes"]:
-                regime = RegimeConfig(
-                    regime=regime_dict["regime"],
-                    kd_weight=regime_dict.get("kd_weight", 1.0),
-                    epochs=regime_dict.get("epochs", 30),
-                    batch_size=regime_dict.get("batch_size", 16),
-                    learning_rate=regime_dict.get("learning_rate", 0.001),
-                    seed=int(seed),
-                    patience=regime_dict.get("patience"),
-                    dtype=manifest.get("dtype", "float64"),
+                regime = make_config(
+                    RegimeConfig,
+                    {**regime_dict, "seed": int(seed), "dtype": manifest.get("dtype", "float64")},
+                    "regime",
                 )
                 start = time.perf_counter()
                 model, result = train_task(
@@ -378,14 +382,11 @@ def _stage_tasks(ctx):
                 )
                 result.seconds = 0.0 if ctx["deterministic"] else time.perf_counter() - start
                 cell = f"{task_name}_{regime.regime}_F{n_channels}_s{seed}_f{fold}"
-                with open(out_dir / "curves" / f"{cell}.csv", "w", encoding="utf-8") as fh:
-                    fh.write("epoch,train_total,train_task,train_kd,val_task\n")
-                    for row in result.curve:
-                        fh.write(
-                            f"{row['epoch']},{row['train_total']:.8f},"
-                            f"{row['train_task']:.8f},{row['train_kd']:.8f},"
-                            f"{row['val_task']:.8f}\n"
-                        )
+                _write_csv(
+                    out_dir / "curves" / f"{cell}.csv",
+                    "epoch,train_total,train_task,train_kd,val_task",
+                    (row.values() for row in result.curve),
+                )
                 save_checkpoint(
                     model.network,
                     out_dir / "checkpoints" / f"task_{cell}.npz",
@@ -400,15 +401,26 @@ def _stage_tasks(ctx):
     ctx["results"] = [r for _, r in results]
 
 
+def _write_csv(path, header, rows):
+    """A header line, then one comma-joined line per row; floats get 8 decimals."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.8f}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def write_results_csv(path, results):
     """One row per (task, regime, channels, seed, fold) cell."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("task,regime,channels,seed,fold,metric,epochs,seconds\n")
-        for task_name, r in results:
-            fh.write(
-                f"{task_name},{r.regime},{r.n_channels},{r.seed},{r.fold},"
-                f"{r.metric_value:.6f},{r.epochs_run},{r.seconds:.3f}\n"
-            )
+    _write_csv(
+        path,
+        "task,regime,channels,seed,fold,metric,epochs,seconds",
+        (
+            [task_name, r.regime, r.n_channels, r.seed, r.fold,
+             f"{r.metric_value:.6f}", r.epochs_run, f"{r.seconds:.3f}"]
+            for task_name, r in results
+        ),
+    )
 
 
 def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
@@ -439,8 +451,6 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     for name in stages:
         try:
             stage_fns[name](ctx)
-        except StageError:
-            raise
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
     return ctx.get("results", [])

@@ -11,9 +11,7 @@ Three formats live here:
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -127,16 +125,12 @@ def read_raw_float32(path):
     return data.astype(np.float64), int(sidecar["sample_rate"])
 
 
-def content_hash(samples, config_items=()):
-    """Stable hex digest of raw sample bytes plus configuration items."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
-    h.update(json.dumps(list(config_items), sort_keys=True).encode("utf-8"))
-    return h.hexdigest()
-
-
 def list_audio_files(directory):
-    """Audio files (.wav or .f32) under ``directory``, sorted by name."""
+    """Audio files (.wav or .f32) under ``directory``, sorted by name.
+
+    A file's stem is its item id, so two files with the same stem are
+    rejected.
+    """
     directory = Path(directory)
     files = [
         p
@@ -145,6 +139,13 @@ def list_audio_files(directory):
     ]
     if not files:
         raise ValueError(f"{directory}: no .wav or .f32 files found")
+    by_id = {}
+    for p in files:
+        if p.stem in by_id:
+            raise ValueError(
+                f"{directory}: {by_id[p.stem].name} and {p.name} share the item id {p.stem!r}"
+            )
+        by_id[p.stem] = p
     return files
 
 

@@ -24,9 +24,6 @@ class Layer:
     def backward(self, dout, cache):
         raise NotImplementedError
 
-    def zero_grads(self):
-        return {name: np.zeros_like(p) for name, p in self.params.items()}
-
 
 def _he_normal(rng, shape, fan_in, dtype):
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)

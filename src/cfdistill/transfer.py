@@ -126,11 +126,6 @@ class TaskModel:
     network: NetworkModel
     head: FullyConnected
 
-    def predict(self, x, batch_size=64):
-        """Head outputs in eval mode, computed in batches."""
-        penult = predict_network(self.network, x, batch_size=batch_size)
-        return self.head.forward(penult)[0]
-
 
 def distillation_loss(penultimate, estimated_cf):
     """MSE plus cosine proximity between activation and estimated embedding.
@@ -162,6 +157,37 @@ def _epoch_batches(train_idx, batch_size, rng):
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
         batches.pop()
     return batches
+
+
+def _fit(step, val_loss, get_state, set_state, epochs, patience, train_idx, batch_size, seed,
+         on_epoch=None):
+    """The epoch loop every trainer shares.
+
+    ``step(batch)`` takes one optimizer step and returns that batch's
+    named training losses.  Each curve row holds the epoch, the epoch mean
+    of each of those losses in order, then ``val_loss()``.  The state with the least validation loss
+    is restored at the end; ``patience`` epochs without improvement stop
+    training early.  Returns (curve, best epoch, epochs run).
+    """
+    rng = np.random.default_rng([seed, 1])
+    best_val, best_state, best_epoch = np.inf, get_state(), -1
+    curve = []
+    for epoch in range(epochs):
+        losses = {}
+        for batch in _epoch_batches(train_idx, batch_size, rng):
+            for name, value in step(batch).items():
+                losses.setdefault(name, []).append(value)
+        val = val_loss()
+        row = {"epoch": epoch, **{k: float(np.mean(v)) for k, v in losses.items()}, "val_loss": val}
+        curve.append(row)
+        if val < best_val:
+            best_val, best_state, best_epoch = val, get_state(), epoch
+        if on_epoch is not None:
+            on_epoch(epoch, row)
+        if patience is not None and epoch - best_epoch >= patience:
+            break
+    set_state(best_state)
+    return curve, best_epoch, len(curve)
 
 
 def train_cf_estimator(
@@ -198,41 +224,25 @@ def train_cf_estimator(
     if train_idx.size < 2:
         raise ValueError("train split too small for train-mode batch norm")
 
-    rng = np.random.default_rng([config.seed, 1])
     optimizer = AdamState(model.named_params(), AdamConfig(learning_rate=config.learning_rate))
 
-    def combined_loss(idx):
-        out = predict_network(model, features[idx])
-        return mse_loss(out, targets[idx])[0] + cosine_proximity_loss(out, targets[idx])[0]
+    def step(batch):
+        out, caches = model.forward(features[batch], train=True)
+        m_val, m_grad = mse_loss(out, targets[batch])
+        c_val, c_grad = cosine_proximity_loss(out, targets[batch])
+        _, grads = model.backward(caches, m_grad + c_grad)
+        adam_step(optimizer, model.named_params(), model.named_grads(grads))
+        return {"train_loss": m_val + c_val}
 
-    best_val = np.inf
-    best_state = model.get_state()
-    best_epoch = -1
-    curve = []
-    epochs_run = 0
-    for epoch in range(config.epochs):
-        train_losses = []
-        for batch in _epoch_batches(train_idx, config.batch_size, rng):
-            out, caches = model.forward(features[batch], train=True)
-            m_val, m_grad = mse_loss(out, targets[batch])
-            c_val, c_grad = cosine_proximity_loss(out, targets[batch])
-            _, grads = model.backward(caches, m_grad + c_grad)
-            adam_step(optimizer, model.named_params(), model.named_grads(grads))
-            train_losses.append(m_val + c_val)
-        val_loss = combined_loss(val_idx)
-        curve.append(
-            {"epoch": epoch, "train_loss": float(np.mean(train_losses)), "val_loss": val_loss}
-        )
-        epochs_run = epoch + 1
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = model.get_state()
-            best_epoch = epoch
-        if on_epoch is not None:
-            on_epoch(epoch, model, curve[-1])
-        if config.patience is not None and epoch - best_epoch >= config.patience:
-            break
-    model.set_state(best_state)
+    def val_loss():
+        out = predict_network(model, features[val_idx])
+        return mse_loss(out, targets[val_idx])[0] + cosine_proximity_loss(out, targets[val_idx])[0]
+
+    curve, best_epoch, epochs_run = _fit(
+        step, val_loss, model.get_state, model.set_state,
+        config.epochs, config.patience, train_idx, config.batch_size, config.seed,
+        on_epoch=None if on_epoch is None else lambda epoch, row: on_epoch(epoch, model, row),
+    )
     return model, {"curve": curve, "best_epoch": best_epoch, "epochs_run": epochs_run}
 
 
@@ -249,44 +259,6 @@ def _metric_value(task: TaskSpec, outputs, targets):
     if task.kind == "classification":
         return accuracy(np.argmax(outputs, axis=1), targets)
     return r_squared(outputs[:, 0], np.asarray(targets, dtype=np.float64).reshape(-1))
-
-
-def _train_head_only(task, data, head, feats, regime):
-    """fix regime body: the backbone is frozen, so penultimate features are
-    precomputed once and only the head is optimized."""
-    rng = np.random.default_rng([regime.seed, 1])
-    optimizer = AdamState(head.params, AdamConfig(learning_rate=regime.learning_rate))
-    best_val, best_params, best_epoch = np.inf, {k: v.copy() for k, v in head.params.items()}, -1
-    curve = []
-    epochs_run = 0
-    for epoch in range(regime.epochs):
-        train_losses = []
-        for batch in _epoch_batches(data.train_idx, regime.batch_size, rng):
-            out, cache = head.forward(feats[batch])
-            loss, dout = _task_loss(task, out, data.targets[batch])
-            _, grads = head.backward(dout, cache)
-            adam_step(optimizer, head.params, grads)
-            train_losses.append(loss)
-        val_out = head.forward(feats[data.val_idx])[0]
-        val_loss = _task_loss(task, val_out, data.targets[data.val_idx])[0]
-        curve.append(
-            {
-                "epoch": epoch,
-                "train_total": float(np.mean(train_losses)),
-                "train_task": float(np.mean(train_losses)),
-                "train_kd": 0.0,
-                "val_task": val_loss,
-            }
-        )
-        epochs_run = epoch + 1
-        if val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
-            best_params = {k: v.copy() for k, v in head.params.items()}
-        if regime.patience is not None and epoch - best_epoch >= regime.patience:
-            break
-    for k, v in best_params.items():
-        head.params[k][...] = v
-    return curve, epochs_run
 
 
 def train_task(
@@ -306,8 +278,7 @@ def train_task(
     selection keeps the epoch with the least task-specific validation
     loss (the kd term never enters selection).
     """
-    needs_estimator = regime.regime in ("fix", "init", "kd")
-    if needs_estimator:
+    if regime.regime != "base":
         if cf_estimator is None:
             raise ValueError(f"regime {regime.regime!r} requires a trained estimator")
         if list(cf_estimator.specs) != list(specs) or cf_estimator.input_shape != tuple(input_shape):
@@ -323,52 +294,40 @@ def train_task(
         network.set_state(cf_estimator.get_state())
 
     features = np.asarray(data.features, dtype=dtype)
+    adam = AdamConfig(learning_rate=regime.learning_rate)
 
     if regime.regime == "fix":
+        # The backbone is frozen, so penultimate features are computed
+        # once and only the head is optimized.
         feats = predict_network(network, features)
-        curve, epochs_run = _train_head_only(task, data, head, feats, regime)
-        model = TaskModel(network=network, head=head)
-        metric = _metric_value(task, head.forward(feats[data.test_idx])[0], data.targets[data.test_idx])
-        result = ExperimentResult(
-            regime=regime.regime,
-            n_channels=n_channels,
-            seed=regime.seed,
-            fold=fold,
-            metric_name=task.metric,
-            metric_value=metric,
-            epochs_run=epochs_run,
-            curve=curve,
-        )
-        return model, result
+        optimizer = AdamState(head.params, adam)
 
-    teacher = None
-    if regime.regime == "kd":
-        teacher = predict_network(cf_estimator, features)
+        def penultimate(idx):
+            return feats[idx]
 
-    rng = np.random.default_rng([regime.seed, 1])
-    all_params = {f"net.{k}": v for k, v in network.named_params().items()}
-    all_params.update({f"head.{k}": v for k, v in head.params.items()})
-    optimizer = AdamState(all_params, AdamConfig(learning_rate=regime.learning_rate))
+        def step(batch):
+            out, cache = head.forward(feats[batch])
+            loss, dout = _task_loss(task, out, data.targets[batch])
+            _, grads = head.backward(dout, cache)
+            adam_step(optimizer, head.params, grads)
+            return {"train_total": loss, "train_task": loss, "train_kd": 0.0}
 
-    def val_task_loss():
-        penult = predict_network(network, features[data.val_idx])
-        out = head.forward(penult)[0]
-        return _task_loss(task, out, data.targets[data.val_idx])[0]
+    else:
+        teacher = predict_network(cf_estimator, features) if regime.regime == "kd" else None
+        all_params = {f"net.{k}": v for k, v in network.named_params().items()}
+        all_params.update({f"head.{k}": v for k, v in head.params.items()})
+        optimizer = AdamState(all_params, adam)
 
-    best_val = np.inf
-    best_state = (network.get_state(), {k: v.copy() for k, v in head.params.items()})
-    best_epoch = -1
-    curve = []
-    epochs_run = 0
-    for epoch in range(regime.epochs):
-        totals, tasks_l, kds = [], [], []
-        for batch in _epoch_batches(data.train_idx, regime.batch_size, rng):
+        def penultimate(idx):
+            return predict_network(network, features[idx])
+
+        def step(batch):
             penult, caches = network.forward(features[batch], train=True)
             out, head_cache = head.forward(penult)
             task_val, dout = _task_loss(task, out, data.targets[batch])
             dpenult, head_grads = head.backward(dout, head_cache)
             kd_val = 0.0
-            if regime.regime == "kd":
+            if teacher is not None:
                 kd_val, kd_grad = distillation_loss(penult, teacher[batch])
                 if regime.kd_weight != 0.0:
                     dpenult = dpenult + regime.kd_weight * kd_grad
@@ -376,40 +335,37 @@ def train_task(
             grads = {f"net.{k}": v for k, v in network.named_grads(net_grads).items()}
             grads.update({f"head.{k}": v for k, v in head_grads.items()})
             adam_step(optimizer, all_params, grads)
-            tasks_l.append(task_val)
-            kds.append(kd_val)
-            totals.append(task_val + regime.kd_weight * kd_val)
-        val_loss = val_task_loss()
-        curve.append(
-            {
-                "epoch": epoch,
-                "train_total": float(np.mean(totals)),
-                "train_task": float(np.mean(tasks_l)),
-                "train_kd": float(np.mean(kds)),
-                "val_task": val_loss,
+            return {
+                "train_total": task_val + regime.kd_weight * kd_val,
+                "train_task": task_val,
+                "train_kd": kd_val,
             }
-        )
-        epochs_run = epoch + 1
-        if val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
-            best_state = (network.get_state(), {k: v.copy() for k, v in head.params.items()})
-        if regime.patience is not None and epoch - best_epoch >= regime.patience:
-            break
 
-    network.set_state(best_state[0])
-    for k, v in best_state[1].items():
-        head.params[k][...] = v
-    model = TaskModel(network=network, head=head)
-    test_out = model.predict(features[data.test_idx])
-    metric = _metric_value(task, test_out, data.targets[data.test_idx])
+    def val_loss():
+        out = head.forward(penultimate(data.val_idx))[0]
+        return _task_loss(task, out, data.targets[data.val_idx])[0]
+
+    def get_state():
+        return network.get_state(), {k: v.copy() for k, v in head.params.items()}
+
+    def set_state(state):
+        network.set_state(state[0])
+        for k, v in state[1].items():
+            head.params[k][...] = v
+
+    curve, _, epochs_run = _fit(
+        step, val_loss, get_state, set_state,
+        regime.epochs, regime.patience, data.train_idx, regime.batch_size, regime.seed,
+    )
+    test_out = head.forward(penultimate(data.test_idx))[0]
     result = ExperimentResult(
         regime=regime.regime,
         n_channels=n_channels,
         seed=regime.seed,
         fold=fold,
         metric_name=task.metric,
-        metric_value=metric,
+        metric_value=_metric_value(task, test_out, data.targets[data.test_idx]),
         epochs_run=epochs_run,
         curve=curve,
     )
-    return model, result
+    return TaskModel(network=network, head=head), result

@@ -11,8 +11,7 @@ compete over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -72,7 +71,6 @@ class World:
     user_ids: list
     item_latents: np.ndarray
     user_latents: np.ndarray
-    interaction_mask: np.ndarray = field(repr=False, default=None)
 
 
 def band_energies(latent):
@@ -187,7 +185,6 @@ def generate_world(config: WorldConfig) -> World:
         user_ids=user_ids,
         item_latents=item_latents,
         user_latents=user_latents,
-        interaction_mask=mask,
     )
 
 

@@ -3,14 +3,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfdistill
 from cfdistill.als import load_embedding, item_vector
 from cfdistill.cli import main
 from cfdistill.experiment import write_results_csv
-from cfdistill.fileio import load_float_table, write_wav
+from cfdistill.fileio import load_float_table, write_raw_float32, write_wav
 from cfdistill.transfer import ExperimentResult
 
 from conftest import make_tiny_manifest
@@ -32,6 +34,14 @@ class TestGenerateWorld:
         assert (out / "labels.csv").exists()
         assert len(list((out / "audio").glob("*.f32"))) == 12
         assert "12 items" in capsys.readouterr().out
+
+    def test_unknown_world_key_is_single_line_error(self, tmp_path, capsys):
+        config = tmp_path / "world.json"
+        config.write_text(json.dumps({"n_users": 10, "n_itemz": 12}))
+        assert main(["generate-world", str(config), str(tmp_path / "world")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "'n_itemz'" in err
 
     def test_seed_override(self, tmp_path):
         config = tmp_path / "world.json"
@@ -63,6 +73,17 @@ class TestAlsFit:
         emb = load_embedding(out)
         assert emb.n_factors == 6
 
+    def test_unknown_config_key_is_single_line_error(self, tmp_path, capsys):
+        logs = tmp_path / "logs.tsv"
+        logs.write_text("u1\ti1\nu2\ti2\n", encoding="utf-8")
+        cfg = tmp_path / "als.json"
+        cfg.write_text(json.dumps({"n_factors": 6, "reg_lamda": 0.5}))
+        code = main(["als-fit", str(logs), str(tmp_path / "o.ftab"), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "'reg_lamda'" in err
+
     def test_missing_file_is_single_line_error(self, tmp_path, capsys):
         code = main(["als-fit", str(tmp_path / "nope.tsv"), str(tmp_path / "o.ftab")])
         assert code == 1
@@ -80,11 +101,20 @@ class TestFeatures:
             write_wav(audio / f"{name}.wav", rng.normal(size=30000) * 0.05, 16000)
         out = tmp_path / "cache"
         assert main(["features", str(audio), str(out)]) == 0
-        index = json.loads((out / "index.json").read_text())
-        assert set(index) == {"a", "b"}
-        _, grid, meta = load_float_table(out / index["a"]["path"])
+        assert sorted(p.name for p in out.iterdir()) == ["a.ftab", "b.ftab"]
+        _, grid, meta = load_float_table(out / "a.ftab")
         assert grid.shape == (96, 80)
         assert meta["item_id"] == "a"
+
+    def test_duplicate_item_id_rejected(self, tmp_path, capsys):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        write_wav(audio / "a.wav", np.zeros(30000), 16000)
+        write_raw_float32(audio / "a.f32", np.zeros(30000), 16000)
+        assert main(["features", str(audio), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "item id 'a'" in err
 
     def test_wrong_sample_rate_rejected(self, tmp_path, capsys):
         audio = tmp_path / "audio"
@@ -127,6 +157,14 @@ class TestManifestCommands:
         manifest = write_manifest(tmp_path, make_tiny_manifest())
         assert main(["run", str(manifest)]) == 1
         assert "output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "train-estimator", "train-task"])
+    def test_list_manifest_is_single_line_error(self, tmp_path, capsys, command):
+        manifest = write_manifest(tmp_path, [make_tiny_manifest()])
+        assert main([command, str(manifest), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "JSON object, got list" in err
 
     def test_invalid_manifest_is_single_line_error(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {"schema_version": 99})
@@ -172,9 +210,11 @@ class TestUsage:
                 ("genre", ExperimentResult("base", 8, 1, 0, "accuracy", 0.6, 3, 0.0))]
         path = tmp_path / "results.csv"
         write_results_csv(path, rows)
+        # run from the directory holding the package under test, so the
+        # child imports the same source tree even when it is not installed
         proc = subprocess.run(
             [sys.executable, "-m", "cfdistill.cli", "evaluate", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=Path(cfdistill.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert "mean base" in proc.stdout

@@ -31,7 +31,7 @@ class TestRunExperiment:
             "world/logs.tsv",
             "world/labels.csv",
             "embeddings/item_embeddings.ftab",
-            "features/index.json",
+            "features/item_00000.ftab",
             "checkpoints/cf_estimator.npz",
             "curves/estimator.csv",
             "folds.json",
@@ -53,11 +53,11 @@ class TestRunExperiment:
         run_experiment(tiny_manifest, out, deterministic=True)
         emb = load_embedding(out / "embeddings" / "item_embeddings.ftab")
         assert emb.item_vectors.shape == (36, 40)
-        index = json.loads((out / "features" / "index.json").read_text())
-        assert len(index) == 36
-        some = next(iter(index.values()))
-        ids, grid, meta = load_float_table(out / "features" / some["path"])
+        grids = sorted((out / "features").glob("*.ftab"))
+        assert [p.stem for p in grids] == [f"item_{i:05d}" for i in range(36)]
+        ids, grid, meta = load_float_table(grids[7])
         assert grid.shape == (96, 80)
+        assert meta["item_id"] == "item_00007"
         folds = json.loads((out / "folds.json").read_text())
         assert len(folds["task_items"]) == 16
         cell = folds["cells"][0]
@@ -79,7 +79,7 @@ class TestRunExperiment:
             run_experiment(manifest, out, deterministic=True)
         assert (out / "world" / "logs.tsv").exists()
         assert (out / "embeddings" / "item_embeddings.ftab").exists()
-        assert (out / "features" / "index.json").exists()
+        assert (out / "features" / "item_00000.ftab").exists()
         assert not (out / "results.csv").exists()
 
     def test_task_stage_requires_estimator_checkpoint(self, tmp_path, tiny_manifest):
@@ -88,6 +88,12 @@ class TestRunExperiment:
                 tiny_manifest, tmp_path / "out", deterministic=True,
                 stages=("world", "features", "tasks"),
             )
+
+    def test_unknown_regime_key_fails_in_tasks_stage(self, tmp_path):
+        manifest = make_tiny_manifest()
+        manifest["regimes"][1]["patiense"] = 3
+        with pytest.raises(StageError, match="stage=tasks: unknown regime key 'patiense'"):
+            run_experiment(manifest, tmp_path / "out", deterministic=True)
 
     def test_world_task_kind_mismatch_fails_in_world_stage(self, tmp_path):
         manifest = make_tiny_manifest()
@@ -130,6 +136,15 @@ class TestDatasetMode:
             r["batch_size"] = 4
         results = run_experiment(manifest, tmp_path / "out", deterministic=True)
         assert len(results) == 2
+
+    def test_duplicate_label_rejected(self, tmp_path):
+        datasets = self._write_dataset(tmp_path / "data")
+        with open(datasets["labels"], "a", encoding="utf-8") as fh:
+            fh.write("song03,0\n")
+        manifest = make_tiny_manifest(datasets=datasets)
+        del manifest["world"]
+        with pytest.raises(StageError, match="stage=world.*duplicate item id 'song03'"):
+            run_experiment(manifest, tmp_path / "out", deterministic=True)
 
     def test_missing_dataset_path_fails_in_world_stage(self, tmp_path):
         manifest = make_tiny_manifest(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cfdistill.fileio import (
-    content_hash,
     list_audio_files,
     load_float_table,
     read_audio,
@@ -106,14 +105,10 @@ class TestAudioDirectory:
         with pytest.raises(ValueError, match="no .wav"):
             list_audio_files(tmp_path)
 
-
-class TestContentHash:
-    def test_stable_and_config_sensitive(self):
-        samples = np.arange(10, dtype=float)
-        a = content_hash(samples, [("n_fft", 512)])
-        b = content_hash(samples, [("n_fft", 512)])
-        c = content_hash(samples, [("n_fft", 1024)])
-        d = content_hash(samples * 2, [("n_fft", 512)])
-        assert a == b
-        assert a != c
-        assert a != d
+    def test_shared_stem_rejected(self, tmp_path):
+        # a.wav and a.f32 would both be item "a"; a.g.wav sorts between them
+        write_wav(tmp_path / "a.wav", np.zeros(100), 16000)
+        write_wav(tmp_path / "a.g.wav", np.zeros(100), 16000)
+        write_raw_float32(tmp_path / "a.f32", np.zeros(50), 16000)
+        with pytest.raises(ValueError, match="a.f32 and a.wav share the item id 'a'"):
+            list_audio_files(tmp_path)

@@ -1,8 +1,11 @@
 """Estimator training and the contracts of the four transfer regimes."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from cfdistill import transfer
 from cfdistill.nn.network import LayerSpec, build_network, double_conv
 from cfdistill.transfer import (
     RegimeConfig,
@@ -252,6 +255,39 @@ class TestRegimeContracts:
         a, b = run(), run()
         for key, value in a.items():
             np.testing.assert_array_equal(b[key], value, err_msg=key)
+
+
+class TestEarlyStopping:
+    @pytest.mark.parametrize("regime", ["base", "fix", "init", "kd"])
+    def test_stops_after_patience_and_restores_best_epoch(self, monkeypatch, regime):
+        rng = np.random.default_rng(15)
+        data = tiny_task_data(rng)
+        task = TaskSpec(kind="classification", n_classes=2)
+        snapshots = {}
+        real_fit = transfer._fit
+
+        def recording_fit(*args, **kwargs):
+            bound = inspect.signature(real_fit).bind(*args, **kwargs)
+            get_state = bound.arguments["get_state"]
+            bound.arguments["on_epoch"] = lambda epoch, row: snapshots.update({epoch: get_state()})
+            return real_fit(*bound.args, **bound.kwargs)
+
+        monkeypatch.setattr(transfer, "_fit", recording_fit)
+        epochs, patience = 30, 2
+        model, result = train_task(
+            task, data, TINY_SPECS, TINY_SHAPE, 2,
+            RegimeConfig(regime=regime, epochs=epochs, batch_size=8, learning_rate=0.05,
+                         seed=3, patience=patience),
+            cf_estimator=None if regime == "base" else make_estimator(seed=6),
+        )
+        best_epoch = int(np.argmin([row["val_loss"] for row in result.curve]))
+        assert result.epochs_run < epochs
+        assert result.epochs_run == best_epoch + patience + 1
+        net_state, head_params = snapshots[best_epoch]
+        for key, value in model.network.get_state().items():
+            np.testing.assert_array_equal(value, net_state[key], err_msg=key)
+        for key, value in model.head.params.items():
+            np.testing.assert_array_equal(value, head_params[key], err_msg=key)
 
 
 class TestRegressionTask:
