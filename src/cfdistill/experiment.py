@@ -81,6 +81,26 @@ def validate_manifest(manifest):
     for key in ("task", "architecture", "estimator", "split"):
         if key not in manifest:
             raise ValueError(f"manifest is missing the {key!r} section")
+    _estimator_settings(manifest)
+
+
+def _estimator_settings(manifest):
+    """(TrainConfig, val_fraction, normalize_targets) from the estimator section.
+
+    The section holds the TrainConfig fields except dtype, which is
+    manifest-wide, plus two settings of the estimator stage itself.
+    """
+    if not isinstance(manifest["estimator"], dict):
+        raise ValueError("manifest 'estimator' section must be a JSON object")
+    est = dict(manifest["estimator"])
+    known = {f.name for f in dataclasses.fields(TrainConfig)} - {"dtype"}
+    unknown = sorted(set(est) - known - {"val_fraction", "normalize_targets"})
+    if unknown:
+        raise ValueError(f"unknown manifest key 'estimator.{unknown[0]}'")
+    val_fraction = est.pop("val_fraction", 0.2)
+    normalize = est.pop("normalize_targets", False)
+    config = TrainConfig(**est, dtype=manifest.get("dtype", "float64"))
+    return config, val_fraction, normalize
 
 
 def make_config(cls, values, section):
@@ -251,7 +271,7 @@ def _stage_estimator(ctx):
             f"mel grids {ctx['grid_shape']} do not match architecture input "
             f"{tuple(input_shape[:2])}"
         )
-    est = manifest["estimator"]
+    config, val_fraction, normalize = _estimator_settings(manifest)
     n_est = _split_counts(ctx)
     est_ids = ctx["item_ids"][:n_est]
     embedding = ctx.get("embedding")
@@ -259,21 +279,12 @@ def _stage_estimator(ctx):
         embedding = load_embedding(ctx["out_dir"] / "embeddings" / "item_embeddings.ftab")
         ctx["embedding"] = embedding
     targets = np.stack([item_vector(embedding, i) for i in est_ids], axis=0)
-    if est.get("normalize_targets", False):
+    if normalize:
         norms = np.linalg.norm(targets, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise ValueError("cannot normalize zero embedding targets")
         targets = targets / norms
     features = _features_array(ctx, est_ids)
-    config = TrainConfig(
-        epochs=est.get("epochs", 40),
-        batch_size=est.get("batch_size", 16),
-        learning_rate=est.get("learning_rate", 0.001),
-        seed=est.get("seed", 0),
-        patience=est.get("patience"),
-        dtype=manifest.get("dtype", "float64"),
-    )
-    val_fraction = est.get("val_fraction", 0.2)
     train_idx, val_idx = plain_split(len(est_ids), (val_fraction,), seed=[config.seed, 3])
     model, info = train_cf_estimator(
         features, targets, specs, input_shape, config, train_idx, val_idx

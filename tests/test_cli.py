@@ -11,7 +11,7 @@ import pytest
 import cfdistill
 from cfdistill.als import load_embedding, item_vector
 from cfdistill.cli import main
-from cfdistill.experiment import write_results_csv
+from cfdistill.experiment import load_manifest, write_results_csv
 from cfdistill.fileio import load_float_table, write_raw_float32, write_wav
 from cfdistill.transfer import ExperimentResult
 
@@ -171,6 +171,21 @@ class TestManifestCommands:
         assert main(["run", str(manifest), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "train-estimator"])
+    def test_unknown_estimator_key_is_single_line_error(self, tmp_path, capsys, command):
+        m = make_tiny_manifest()
+        m["estimator"]["patiense"] = 1
+        out = tmp_path / "o"
+        assert main([command, str(write_manifest(tmp_path, m)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "'estimator.patiense'" in err
+        assert not out.exists()  # rejected before any stage ran
+
+    @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
+    def test_shipped_manifests_validate(self, name):
+        load_manifest(Path(__file__).resolve().parent.parent / "configs" / name)
 
 
 class TestEvaluate:

@@ -1,11 +1,15 @@
 """Orchestration: stages, artifacts, failure policy, results files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfdistill
 from cfdistill.als import load_embedding
 from cfdistill.experiment import (
     StageError,
@@ -19,6 +23,8 @@ from cfdistill.fileio import load_float_table, write_raw_float32
 from cfdistill.transfer import ExperimentResult
 
 from conftest import make_tiny_manifest
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestRunExperiment:
@@ -215,3 +221,48 @@ class TestResultsSummary:
         write_results_csv(path, results)
         summary = summarize_results(read_results_csv(path))
         assert summary["tests"]["kd"] is None
+
+
+class TestBlasThreadInvariance:
+    def test_outputs_identical_with_one_and_default_blas_threads(self, tmp_path):
+        """``run --deterministic`` writes the same bytes whatever the BLAS thread count.
+
+        One child pins OpenBLAS/OpenMP to one thread through its own
+        environment; the other inherits this process's environment.
+        """
+        manifest = json.loads((CONFIGS / "tiny.json").read_text(encoding="utf-8"))
+        manifest["estimator"]["epochs"] = 4
+        manifest["regimes"] = [
+            {"regime": regime, "epochs": 4, "batch_size": 8, "learning_rate": 0.001}
+            for regime in ("base", "fix", "init", "kd")
+        ]
+        manifest["seeds"] = [0, 1]
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        src = str(Path(cfdistill.__file__).resolve().parents[1])
+        inherited = dict(os.environ)
+        inherited["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        pinned = {**inherited, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        outs = {}
+        for name, env in (("pinned", pinned), ("inherited", inherited)):
+            outs[name] = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "cfdistill.cli", "run", str(path),
+                 "--out", str(outs[name]), "--deterministic"],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+
+        def files(root):
+            paths = [root / "results.csv"]
+            paths += sorted((root / "curves").glob("*.csv"))
+            paths += sorted((root / "checkpoints").glob("*.npz"))
+            return {str(p.relative_to(root)): p.read_bytes() for p in paths}
+
+        pinned_files, inherited_files = files(outs["pinned"]), files(outs["inherited"])
+        assert len(pinned_files) == 1 + 9 + 9  # estimator + 8 cells, curves and checkpoints
+        assert sorted(pinned_files) == sorted(inherited_files)
+        for name, data in pinned_files.items():
+            assert data == inherited_files[name], f"{name} differs between thread counts"
