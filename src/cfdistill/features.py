@@ -7,6 +7,7 @@ a triangular mel filterbank and optional log compression.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,9 +147,21 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_filterbank(config: FeatureConfig) -> np.ndarray:
+    """``mel_filterbank(config)``, built once per config and read-only.
+
+    Every grid of a run uses the same filterbank, and building it (a
+    Python loop over the filters) costs more than a clip's STFT.
+    """
+    fb = mel_filterbank(config)
+    fb.flags.writeable = False
+    return fb
+
+
 def melspectrogram(wave: Waveform, config: FeatureConfig) -> MelSpectrogram:
     """Mel grid of ``wave``: filterbank x power STFT, optionally log10."""
-    grid = mel_filterbank(config) @ stft_power(wave, config)
+    grid = _shared_filterbank(config) @ stft_power(wave, config)
     if config.log_compress:
         grid = np.log10(grid + config.log_floor)
     return MelSpectrogram(grid=grid, config=config)

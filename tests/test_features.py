@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfdistill import features
 from cfdistill.features import (
     FeatureConfig,
     Waveform,
@@ -152,6 +153,14 @@ class TestMelspectrogram:
         wave = Waveform(np.cos(2.0 * np.pi * center_hz * t))
         mel = melspectrogram(wave, config)
         assert np.all(np.argmax(mel.grid, axis=0) == k)
+
+    def test_shared_filterbank_gives_the_same_grid(self):
+        config = FeatureConfig()
+        wave = Waveform(np.random.default_rng(0).normal(size=4000))
+        want = np.log10(mel_filterbank(config) @ stft_power(wave, config) + config.log_floor)
+        for cfg in (config, FeatureConfig()):
+            np.testing.assert_array_equal(melspectrogram(wave, cfg).grid, want)
+        assert not features._shared_filterbank(config).flags.writeable
 
     def test_config_snapshot_kept(self):
         config = FeatureConfig(n_mels=32)

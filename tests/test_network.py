@@ -5,6 +5,7 @@ import pytest
 
 from cfdistill.nn.layers import BatchNorm
 from cfdistill.nn.network import (
+    EVAL_BLOCK,
     LayerSpec,
     build_network,
     build_preset,
@@ -165,6 +166,24 @@ class TestForwardBackward:
                 err_msg=key,
             )
         np.testing.assert_allclose(dx, numeric_grad(loss, x), rtol=1e-3, atol=1e-7)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_eval_forward_matches_one_pass(self, dtype):
+        """Eval mode without caches runs the stack EVAL_BLOCK samples at a
+        time; its rows must equal one pass over the batch bit for bit, also
+        when the last block is short or holds a single sample."""
+        model, _, _ = build_preset("cf_estimator_desk", 8, seed=3, dtype=dtype)
+        rng = np.random.default_rng(4)
+        for layer in model.layers:
+            if isinstance(layer, BatchNorm):
+                layer.running_mean = rng.normal(size=layer.channels).astype(dtype)
+                layer.running_var = rng.uniform(0.5, 2.0, size=layer.channels).astype(dtype)
+        x = rng.normal(size=(3 * EVAL_BLOCK + 1, 96, 80, 1))
+        for n in range(1, len(x) + 1):
+            blocked, caches = model.forward(x[:n], train=False, keep_cache=False)
+            whole, _ = model.forward(x[:n], train=False, keep_cache=True)
+            assert caches is None
+            np.testing.assert_array_equal(blocked, whole, err_msg=f"batch of {n}")
 
     def test_stale_cache_rejected(self):
         model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
