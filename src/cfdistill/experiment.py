@@ -46,6 +46,19 @@ from .world import World, WorldConfig, generate_world
 
 SCHEMA_VERSION = 1
 ALL_STAGES = ("world", "als", "features", "estimator", "tasks")
+# The keys each required section takes; world, datasets, als, features and
+# regimes are checked when their stage reads them.
+SECTION_KEYS = {
+    "task": {f.name for f in dataclasses.fields(TaskSpec)} | {"name"},
+    "architecture": {"preset", "n_channels", "include_fifth_block"},
+    "estimator": ({f.name for f in dataclasses.fields(TrainConfig)} - {"dtype"})
+    | {"val_fraction", "normalize_targets"},
+    "split": {"n_estimator_items", "val_fraction", "test_fraction"},
+}
+MANIFEST_KEYS = {
+    "schema_version", "output_dir", "dtype", "world", "datasets", "als", "features",
+    "regimes", "seeds", "folds", *SECTION_KEYS,
+}
 
 
 class StageError(RuntimeError):
@@ -67,6 +80,9 @@ def load_manifest(path):
 def validate_manifest(manifest):
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest must be a JSON object, got {type(manifest).__name__}")
+    unknown = sorted(set(manifest) - MANIFEST_KEYS)
+    if unknown:
+        raise ValueError(f"unknown manifest key {unknown[0]!r}")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"manifest schema_version must be {SCHEMA_VERSION}, "
@@ -78,9 +94,14 @@ def validate_manifest(manifest):
         raise ValueError("manifest must list at least one seed")
     if not manifest.get("regimes"):
         raise ValueError("manifest must list at least one regime")
-    for key in ("task", "architecture", "estimator", "split"):
+    for key, allowed in SECTION_KEYS.items():
         if key not in manifest:
             raise ValueError(f"manifest is missing the {key!r} section")
+        if not isinstance(manifest[key], dict):
+            raise ValueError(f"manifest {key!r} section must be a JSON object")
+        unknown = sorted(set(manifest[key]) - allowed)
+        if unknown:
+            raise ValueError(f"unknown manifest key '{key}.{unknown[0]}'")
     _estimator_settings(manifest)
 
 
@@ -90,13 +111,7 @@ def _estimator_settings(manifest):
     The section holds the TrainConfig fields except dtype, which is
     manifest-wide, plus two settings of the estimator stage itself.
     """
-    if not isinstance(manifest["estimator"], dict):
-        raise ValueError("manifest 'estimator' section must be a JSON object")
     est = dict(manifest["estimator"])
-    known = {f.name for f in dataclasses.fields(TrainConfig)} - {"dtype"}
-    unknown = sorted(set(est) - known - {"val_fraction", "normalize_targets"})
-    if unknown:
-        raise ValueError(f"unknown manifest key 'estimator.{unknown[0]}'")
     val_fraction = est.pop("val_fraction", 0.2)
     normalize = est.pop("normalize_targets", False)
     config = TrainConfig(**est, dtype=manifest.get("dtype", "float64"))

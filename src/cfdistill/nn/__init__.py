@@ -22,13 +22,11 @@ from .network import (
     LayerSpec,
     NetworkModel,
     PRESETS,
-    arch_dict,
     build_network,
     build_preset,
     cf_estimator_desk,
     cf_estimator_table1,
     double_conv,
-    infer_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -53,13 +51,11 @@ __all__ = [
     "LayerSpec",
     "NetworkModel",
     "PRESETS",
-    "arch_dict",
     "build_network",
     "build_preset",
     "cf_estimator_desk",
     "cf_estimator_table1",
     "double_conv",
-    "infer_shapes",
     "load_checkpoint",
     "save_checkpoint",
 ]

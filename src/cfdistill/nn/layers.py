@@ -13,7 +13,7 @@ from scipy.special import expit as sigmoid
 
 
 class Layer:
-    """Base layer: a dict of named parameters plus forward/backward."""
+    """Base layer: dicts of named parameters and buffers plus forward/backward."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -23,6 +23,10 @@ class Layer:
 
     def backward(self, dout, cache):
         raise NotImplementedError
+
+    def buffers(self):
+        """Named state arrays saved with the parameters but not trained."""
+        return {}
 
 
 def _he_normal(rng, shape, fan_in, dtype):
@@ -148,6 +152,9 @@ class BatchNorm(Layer):
         }
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
+
+    def buffers(self):
+        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, train=False):
         if x.shape[-1] != self.channels:

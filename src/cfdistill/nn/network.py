@@ -9,7 +9,7 @@ reduced schedule for short synthetic clips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -26,15 +26,16 @@ from .layers import (
     SEBlock,
 )
 
-LAYER_KINDS = (
-    "conv2d",
-    "batch_norm",
-    "relu",
-    "max_pool",
-    "se_block",
-    "global_avg_pool",
-    "fully_connected",
-)
+# The one LayerSpec field each layer kind takes (None: it takes none).
+LAYER_FIELDS = {
+    "conv2d": "out_channels",
+    "batch_norm": None,
+    "relu": None,
+    "max_pool": "pool",
+    "se_block": "ratio",
+    "global_avg_pool": None,
+    "fully_connected": "width",
+}
 
 CHECKPOINT_VERSION = 1
 
@@ -48,61 +49,59 @@ class LayerSpec:
     width: Optional[int] = None  # fully_connected
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYER_FIELDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        field = LAYER_FIELDS[self.kind]
+        for name in ("out_channels", "pool", "ratio", "width"):
+            if (getattr(self, name) is None) == (name == field):
+                need = "needs" if name == field else "takes no"
+                raise ValueError(f"{self.kind} layer {need} {name!r}")
+        if self.pool is not None:
+            object.__setattr__(self, "pool", tuple(self.pool))
 
     def to_dict(self):
-        d = {"kind": self.kind}
-        for name in ("out_channels", "ratio", "width"):
-            if getattr(self, name) is not None:
-                d[name] = getattr(self, name)
-        if self.pool is not None:
-            d["pool"] = list(self.pool)
-        return d
+        return {k: list(v) if k == "pool" else v for k, v in vars(self).items() if v is not None}
 
     @staticmethod
     def from_dict(d):
-        pool = tuple(d["pool"]) if "pool" in d else None
-        return LayerSpec(
-            kind=d["kind"],
-            out_channels=d.get("out_channels"),
-            pool=pool,
-            ratio=d.get("ratio"),
-            width=d.get("width"),
-        )
+        unknown = sorted(set(d) - {f.name for f in fields(LayerSpec)})
+        if unknown:
+            raise ValueError(f"unknown layer record key {unknown[0]!r}")
+        return LayerSpec(**{"kind": None, **d})  # no kind: rejected as an unknown kind
 
 
-def infer_shapes(specs, input_shape):
-    """Per-sample output shape after each layer; raises on mismatch."""
-    shape = tuple(input_shape)
-    shapes = []
-    for spec in specs:
-        if spec.kind == "conv2d":
-            if len(shape) != 3:
-                raise ValueError(f"conv2d needs (H, W, C) input, got {shape}")
-            shape = (shape[0], shape[1], spec.out_channels)
-        elif spec.kind == "max_pool":
-            h, w, c = shape
-            ph, pw = spec.pool
-            if h % ph or w % pw:
-                raise ValueError(f"pool {spec.pool} does not divide ({h}, {w})")
-            shape = (h // ph, w // pw, c)
-        elif spec.kind == "se_block":
-            if len(shape) != 3 or shape[2] % spec.ratio:
-                raise ValueError(
-                    f"se_block ratio {spec.ratio} incompatible with shape {shape}"
-                )
-        elif spec.kind == "global_avg_pool":
-            if len(shape) != 3:
-                raise ValueError(f"global_avg_pool needs (H, W, C) input, got {shape}")
-            shape = (shape[2],)
-        elif spec.kind == "fully_connected":
-            if len(shape) != 1:
-                raise ValueError(f"fully_connected needs flat input, got {shape}")
-            shape = (spec.width,)
-        # batch_norm and relu preserve shape
-        shapes.append(shape)
-    return shapes
+def _layer(spec, shape, rng, dtype):
+    """The layer for ``spec`` on per-sample input ``shape``, and its output shape.
+
+    Raises ValueError if the layer cannot take that input.
+    """
+    if spec.kind in ("conv2d", "max_pool", "se_block", "global_avg_pool") and len(shape) != 3:
+        raise ValueError(f"{spec.kind} needs (H, W, C) input, got {shape}")
+    if spec.kind == "conv2d":
+        return Conv2d(shape[2], spec.out_channels, rng, dtype=dtype), (*shape[:2], spec.out_channels)
+    if spec.kind == "batch_norm":
+        return BatchNorm(shape[-1], dtype=dtype), shape
+    if spec.kind == "relu":
+        return ReLU(), shape
+    if spec.kind == "max_pool":
+        (h, w, c), (ph, pw) = shape, spec.pool
+        if h % ph or w % pw:
+            raise ValueError(f"pool {spec.pool} does not divide ({h}, {w})")
+        return MaxPool(spec.pool), (h // ph, w // pw, c)
+    if spec.kind == "se_block":
+        if shape[2] % spec.ratio:
+            raise ValueError(f"se_block ratio {spec.ratio} does not divide {shape[2]} channels")
+        return SEBlock(shape[2], spec.ratio, rng, dtype=dtype), shape
+    if spec.kind == "global_avg_pool":
+        return GlobalAvgPool(), shape[2:]
+    if len(shape) != 1:
+        raise ValueError(f"fully_connected needs flat input, got {shape}")
+    return FullyConnected(shape[0], spec.width, rng, dtype=dtype), (spec.width,)
+
+
+def _keyed(dicts):
+    """One flat dict keyed '<layer index>.<name>' from per-layer dicts."""
+    return {f"{i}.{name}": a for i, d in enumerate(dicts) for name, a in d.items()}
 
 
 # Samples per block of an eval-mode forward without caches.  In eval mode
@@ -120,12 +119,13 @@ EVAL_BLOCK = 4
 class NetworkModel:
     """Ordered layer stack with parameters; built by :func:`build_network`."""
 
-    def __init__(self, specs, input_shape, layers, dtype=np.float64):
+    def __init__(self, specs, input_shape, layers, shapes, dtype=np.float64):
         self.specs = list(specs)
         self.input_shape = tuple(input_shape)
         self.layers: list[Layer] = layers
+        self.shapes = shapes  # per-sample output shape of each layer
+        self.output_shape = shapes[-1]
         self.dtype = np.dtype(dtype)
-        self.output_shape = infer_shapes(self.specs, self.input_shape)[-1]
 
     def forward(self, x, train=False, keep_cache=True):
         """Run the stack; returns (output, caches or None).
@@ -171,69 +171,51 @@ class NetworkModel:
 
     def named_params(self):
         """Flat view of all parameters, keyed '<layer index>.<name>'."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.params.items():
-                out[f"{i}.{name}"] = p
-        return out
+        return _keyed(layer.params for layer in self.layers)
 
     def named_grads(self, grads):
-        out = {}
-        for i, g in enumerate(grads):
-            for name, arr in g.items():
-                out[f"{i}.{name}"] = arr
-        return out
+        return _keyed(grads)
+
+    def _state_arrays(self):
+        """The model's own parameter arrays, then its buffers, keyed as in named_params."""
+        return {**self.named_params(), **_keyed(layer.buffers() for layer in self.layers)}
 
     def get_state(self):
-        """Copies of all parameters and batch-norm running buffers."""
-        state = {k: v.copy() for k, v in self.named_params().items()}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm):
-                state[f"{i}.running_mean"] = layer.running_mean.copy()
-                state[f"{i}.running_var"] = layer.running_var.copy()
-        return state
+        """Copies of all parameters and buffers (batch-norm running statistics)."""
+        return {k: v.copy() for k, v in self._state_arrays().items()}
 
     def set_state(self, state):
-        params = self.named_params()
-        for key, value in state.items():
-            idx, name = key.split(".", 1)
-            layer = self.layers[int(idx)]
-            if name == "running_mean":
-                layer.running_mean = value.copy()
-            elif name == "running_var":
-                layer.running_var = value.copy()
-            else:
-                if params[key].shape != value.shape:
-                    raise ValueError(f"state shape mismatch at {key}")
-                params[key][...] = value
+        """Overwrite parameters and buffers in place from a :meth:`get_state` dict.
 
-    def copy(self):
-        clone = build_network(self.specs, self.input_shape, seed=0, dtype=self.dtype)
-        clone.set_state(self.get_state())
-        return clone
+        ``state`` must hold exactly this model's keys and shapes; otherwise
+        nothing is written and ValueError names the first offending key.
+        """
+        arrays = self._state_arrays()
+        odd = sorted(set(arrays) ^ set(state))
+        if odd:
+            why = "missing" if odd[0] in arrays else "unexpected"
+            raise ValueError(f"{why} state key {odd[0]!r}")
+        for key, value in state.items():
+            if np.shape(value) != arrays[key].shape:
+                raise ValueError(
+                    f"state {key!r} has shape {np.shape(value)}, not {arrays[key].shape}"
+                )
+        for key, value in state.items():
+            arrays[key][...] = value
 
 
 def build_network(specs, input_shape, seed=0, dtype=np.float64):
-    """Instantiate layers for a schedule; parameters drawn from ``seed``."""
-    shapes = [tuple(input_shape)] + infer_shapes(specs, input_shape)
+    """Instantiate layers for a schedule; parameters drawn from ``seed``.
+
+    Raises ValueError where a layer cannot take its input shape.
+    """
     rng = np.random.default_rng(seed)
-    layers: list[Layer] = []
-    for spec, shape_in in zip(specs, shapes[:-1]):
-        if spec.kind == "conv2d":
-            layers.append(Conv2d(shape_in[2], spec.out_channels, rng, dtype=dtype))
-        elif spec.kind == "batch_norm":
-            layers.append(BatchNorm(shape_in[-1], dtype=dtype))
-        elif spec.kind == "relu":
-            layers.append(ReLU())
-        elif spec.kind == "max_pool":
-            layers.append(MaxPool(spec.pool))
-        elif spec.kind == "se_block":
-            layers.append(SEBlock(shape_in[2], spec.ratio, rng, dtype=dtype))
-        elif spec.kind == "global_avg_pool":
-            layers.append(GlobalAvgPool())
-        elif spec.kind == "fully_connected":
-            layers.append(FullyConnected(shape_in[0], spec.width, rng, dtype=dtype))
-    return NetworkModel(specs, input_shape, layers, dtype=dtype)
+    shape, layers, shapes = tuple(input_shape), [], []
+    for spec in specs:
+        layer, shape = _layer(spec, shape, rng, dtype)
+        layers.append(layer)
+        shapes.append(shape)
+    return NetworkModel(specs, input_shape, layers, shapes, dtype=dtype)
 
 
 def double_conv(out_channels, se_ratio=8):
@@ -293,18 +275,14 @@ def build_preset(name, n_channels, seed=0, dtype=np.float64, **kwargs):
     return build_network(specs, input_shape, seed=seed, dtype=dtype), specs, input_shape
 
 
-def arch_dict(specs, input_shape, dtype=np.float64):
-    return {
-        "input_shape": list(input_shape),
-        "layers": [s.to_dict() for s in specs],
-        "dtype": np.dtype(dtype).name,
-    }
-
-
 def save_checkpoint(model: NetworkModel, path, extra=None):
     """Write architecture plus all parameters/buffers to one .npz file."""
-    arch = arch_dict(model.specs, model.input_shape, model.dtype)
-    arch["checkpoint_version"] = CHECKPOINT_VERSION
+    arch = {
+        "input_shape": list(model.input_shape),
+        "layers": [s.to_dict() for s in model.specs],
+        "dtype": model.dtype.name,
+        "checkpoint_version": CHECKPOINT_VERSION,
+    }
     if extra:
         arch["extra"] = extra
     path = Path(path)

@@ -183,6 +183,20 @@ class TestManifestCommands:
         assert "'estimator.patiense'" in err
         assert not out.exists()  # rejected before any stage ran
 
+    @pytest.mark.parametrize(
+        "path", ["architecture.n_chanels", "task.n_clases", "split.val_fration", "fold"]
+    )
+    def test_unknown_section_key_is_single_line_error(self, tmp_path, capsys, path):
+        m = make_tiny_manifest()
+        *section, key = path.split(".")
+        (m[section[0]] if section else m)[key] = 1
+        out = tmp_path / "o"
+        assert main(["run", str(write_manifest(tmp_path, m)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert f"'{path}'" in err
+        assert not out.exists()  # rejected before any stage ran
+
     @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
     def test_shipped_manifests_validate(self, name):
         load_manifest(Path(__file__).resolve().parent.parent / "configs" / name)

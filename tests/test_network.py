@@ -1,5 +1,7 @@
 """Architecture presets, shape traces, checkpoints, end-to-end gradients."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from cfdistill.nn.network import (
     build_preset,
     cf_estimator_table1,
     double_conv,
-    infer_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -26,6 +27,15 @@ def traced_shapes(model, x):
         x, _ = layer.forward(x, train=False)
         shapes.append(x.shape[1:])
     return shapes
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply ``edit(arch, arrays)`` to a checkpoint's contents and save them back."""
+    with np.load(path) as data:
+        arch = json.loads(bytes(data["arch"]).decode())
+        arrays = {k: data[k] for k in data.files if k != "arch"}
+    edit(arch, arrays)
+    np.savez(path, arch=np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8), **arrays)
 
 
 def milestone_shapes(model, x):
@@ -56,8 +66,8 @@ class TestShapeTrace:
         specs, input_shape = cf_estimator_table1(8, include_fifth_block=False)
         n_se = sum(1 for s in specs if s.kind == "se_block")
         assert n_se == 4
-        shapes = infer_shapes(specs, input_shape)
-        assert shapes[-1] == (40,)
+        model = build_network(specs, input_shape)
+        assert model.shapes[-1] == model.output_shape == (40,)
 
     def test_fifth_block_present_by_default(self):
         specs, _ = cf_estimator_table1(8)
@@ -77,7 +87,44 @@ class TestShapeTrace:
     def test_infer_shapes_matches_real_forward(self):
         model, specs, input_shape = build_preset("cf_estimator_desk", 8, seed=1)
         x = np.zeros((1,) + input_shape)
-        assert traced_shapes(model, x) == infer_shapes(specs, input_shape)
+        assert traced_shapes(model, x) == model.shapes
+
+    @pytest.mark.parametrize(
+        "specs, input_shape, match",
+        [
+            ([LayerSpec("max_pool", pool=(3, 2))], (4, 4, 1), "does not divide"),
+            ([LayerSpec("conv2d", out_channels=2)], (6,), "needs \\(H, W, C\\) input"),
+            ([LayerSpec("se_block", ratio=2)], (6,), "needs \\(H, W, C\\) input"),
+            ([LayerSpec("global_avg_pool")], (6,), "needs \\(H, W, C\\) input"),
+            ([LayerSpec("fully_connected", width=3)], (2, 2, 1), "needs flat input"),
+            ([LayerSpec("se_block", ratio=4)], (2, 2, 6), "does not divide 6 channels"),
+        ],
+        ids=["pool", "conv_flat", "se_flat", "gap_flat", "fc_map", "se_ratio"],
+    )
+    def test_schedule_that_does_not_fit_is_rejected(self, specs, input_shape, match):
+        with pytest.raises(ValueError, match=match):
+            build_network(specs, input_shape)
+
+
+class TestLayerSpec:
+    def test_missing_field_rejected(self):
+        with pytest.raises(ValueError, match="conv2d layer needs 'out_channels'"):
+            LayerSpec("conv2d")
+
+    def test_other_kinds_field_rejected(self):
+        with pytest.raises(ValueError, match="relu layer takes no 'width'"):
+            LayerSpec("relu", width=3)
+        with pytest.raises(ValueError, match="max_pool layer takes no 'ratio'"):
+            LayerSpec("max_pool", pool=(2, 2), ratio=2)
+
+    def test_pool_becomes_tuple(self):
+        spec = LayerSpec("max_pool", pool=[2, 4])
+        assert spec.pool == (2, 4)
+        assert spec == LayerSpec("max_pool", pool=(2, 4))
+
+    def test_dict_round_trip(self):
+        specs, _ = cf_estimator_table1(8)
+        assert [LayerSpec.from_dict(s.to_dict()) for s in specs] == specs
 
 
 class TestDoubleConv:
@@ -220,6 +267,60 @@ class TestCheckpoints:
             load_checkpoint(path, expect_specs=other_specs)
         with pytest.raises(ValueError, match="input shape"):
             load_checkpoint(path, expect_input_shape=other_shape)
+
+    # desk layers: 0 batch_norm, 1 relu, 2 conv2d (8 channels), ...
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("2.w", None, "missing state key '2.w'"),
+            ("1.running_mean", np.zeros(1), "unexpected state key '1.running_mean'"),
+            ("99.w", np.zeros(1), "unexpected state key '99.w'"),
+            ("2.b", np.zeros(3), "state '2.b' has shape \\(3,\\), not \\(8,\\)"),
+        ],
+        ids=["missing", "buffer_on_relu", "no_such_layer", "shape"],
+    )
+    def test_state_that_does_not_match_model_rejected(self, tmp_path, key, value, match):
+        def edit(state, prefix=""):
+            if value is None:
+                del state[prefix + key]
+            else:
+                state[prefix + key] = value
+
+        model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
+        before = model.get_state()
+        state = {k: v + 1 for k, v in before.items()}
+        edit(state)
+        with pytest.raises(ValueError, match=match):
+            model.set_state(state)
+        for k, v in model.get_state().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)  # nothing written
+
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        rewrite_checkpoint(path, lambda arch, arrays: edit(arrays, "state/"))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ({"kind": "conv2d"}, "conv2d layer needs 'out_channels'"),
+            ({"kind": "relu", "width": 3}, "relu layer takes no 'width'"),
+            ({"kind": "relu", "widht": 3}, "unknown layer record key 'widht'"),
+        ],
+        ids=["missing_field", "extra_field", "unknown_key"],
+    )
+    def test_malformed_layer_record_rejected(self, tmp_path, record, match):
+        model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+
+        def edit(arch, arrays):
+            arch["layers"][1] = record
+
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
