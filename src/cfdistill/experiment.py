@@ -31,7 +31,7 @@ from .als import (
     parse_log_file,
     save_embedding,
 )
-from .evaluation import plain_split, stratified_kfold, stratified_split
+from .evaluation import paired_improvement_test, plain_split, stratified_kfold, stratified_split
 from .features import FeatureConfig, Waveform, melspectrogram
 from .nn.network import PRESETS, load_checkpoint, save_checkpoint
 from .transfer import (
@@ -46,18 +46,27 @@ from .world import World, WorldConfig, generate_world
 
 SCHEMA_VERSION = 1
 ALL_STAGES = ("world", "als", "features", "estimator", "tasks")
-# The keys each required section takes; world, datasets, als, features and
-# regimes are checked when their stage reads them.
-SECTION_KEYS = {
-    "task": {f.name for f in dataclasses.fields(TaskSpec)} | {"name"},
-    "architecture": {"preset", "n_channels", "include_fifth_block"},
-    "estimator": ({f.name for f in dataclasses.fields(TrainConfig)} - {"dtype"})
-    | {"val_fraction", "normalize_targets"},
-    "split": {"n_estimator_items", "val_fraction", "test_fraction"},
-}
-MANIFEST_KEYS = {
-    "schema_version", "output_dir", "dtype", "world", "datasets", "als", "features",
-    "regimes", "seeds", "folds", *SECTION_KEYS,
+# results.csv columns and the type each is read back as
+RESULT_COLUMNS = {"task": str, "regime": str, "channels": int, "seed": int, "fold": int,
+                  "metric": float, "epochs": int, "seconds": float}
+REQUIRED = object()  # a key with no default
+# Keys and defaults of the top level ("") and of the sections no config class
+# holds.  The task, world, als, features, estimator and regimes[*] sections
+# take the fields of their config class (defaults included), plus the keys
+# listed here.  A None default leaves the setting to the code that uses it.
+SETTINGS = {
+    "": {
+        "schema_version": REQUIRED, "output_dir": None, "dtype": "float64", "task": REQUIRED,
+        "world": None, "datasets": None, "split": REQUIRED, "als": {}, "features": {},
+        "architecture": REQUIRED, "estimator": REQUIRED, "regimes": REQUIRED,
+        "seeds": REQUIRED, "folds": 1,
+    },
+    "task": {"name": None},  # the task kind
+    "datasets": {"logs": REQUIRED, "audio_dir": REQUIRED, "labels": REQUIRED},
+    "split": {"n_estimator_items": REQUIRED, "val_fraction": 0.15, "test_fraction": 0.25},
+    "architecture": {"preset": "cf_estimator_desk", "n_channels": REQUIRED,
+                     "include_fifth_block": None},
+    "estimator": {"val_fraction": 0.2, "normalize_targets": False},
 }
 
 
@@ -77,45 +86,85 @@ def load_manifest(path):
     return manifest
 
 
-def validate_manifest(manifest):
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest must be a JSON object, got {type(manifest).__name__}")
-    unknown = sorted(set(manifest) - MANIFEST_KEYS)
-    if unknown:
-        raise ValueError(f"unknown manifest key {unknown[0]!r}")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+def _section(values, path, cls=None, **fixed):
+    """The manifest section at ``path`` over its ``SETTINGS`` defaults or, given
+    ``cls``, as ``cls(**values, **fixed)`` less those keys; it may set no ``fixed``
+    field.  Errors are ValueErrors that name the key path."""
+    own = SETTINGS.get(path, {})
+    allowed = set(own) | ({f.name for f in dataclasses.fields(cls)} - set(fixed) if cls else set())
+    if not isinstance(values, dict):
         raise ValueError(
-            f"manifest schema_version must be {SCHEMA_VERSION}, "
-            f"got {manifest.get('schema_version')!r}"
+            f"manifest {path or 'file'} must be a JSON object, got {type(values).__name__}"
         )
-    if ("world" in manifest) == ("datasets" in manifest):
-        raise ValueError("manifest needs exactly one of 'world' or 'datasets'")
-    if not manifest.get("seeds"):
-        raise ValueError("manifest must list at least one seed")
-    if not manifest.get("regimes"):
-        raise ValueError("manifest must list at least one regime")
-    for key, allowed in SECTION_KEYS.items():
-        if key not in manifest:
-            raise ValueError(f"manifest is missing the {key!r} section")
-        if not isinstance(manifest[key], dict):
-            raise ValueError(f"manifest {key!r} section must be a JSON object")
-        unknown = sorted(set(manifest[key]) - allowed)
-        if unknown:
-            raise ValueError(f"unknown manifest key '{key}.{unknown[0]}'")
-    _estimator_settings(manifest)
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(values) - allowed)
+    if unknown:
+        raise ValueError(f"unknown manifest key '{prefix}{unknown[0]}'")
+    missing = [k for k, v in own.items() if v is REQUIRED and k not in values]
+    if missing:
+        raise ValueError(f"manifest is missing '{prefix}{missing[0]}'")
+    if cls is None:
+        return {**own, **values}
+    try:
+        return cls(**{k: v for k, v in values.items() if k not in own}, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest {path}: {exc}") from None
 
 
-def _estimator_settings(manifest):
-    """(TrainConfig, val_fraction, normalize_targets) from the estimator section.
+def validate_manifest(manifest):
+    """Parse a manifest into the settings its stages use, keyed as returned.
 
-    The section holds the TrainConfig fields except dtype, which is
-    manifest-wide, plus two settings of the estimator stage itself.
+    Every key, and each range its config class checks, is checked here
+    before any stage runs.  Each regime's seed is set per cell from ``seeds``.
     """
-    est = dict(manifest["estimator"])
-    val_fraction = est.pop("val_fraction", 0.2)
-    normalize = est.pop("normalize_targets", False)
-    config = TrainConfig(**est, dtype=manifest.get("dtype", "float64"))
-    return config, val_fraction, normalize
+    top = _section(manifest, "")
+    if top["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"manifest schema_version must be {SCHEMA_VERSION}, got {top['schema_version']!r}"
+        )
+    if (top["world"] is None) == (top["datasets"] is None):
+        raise ValueError("manifest needs exactly one of 'world' or 'datasets'")
+    if not top["seeds"]:
+        raise ValueError("manifest must list at least one seed")
+    if not top["regimes"]:
+        raise ValueError("manifest must list at least one regime")
+    if not (isinstance(top["folds"], int) and top["folds"] >= 1):
+        raise ValueError(f"manifest folds must be a positive int, got {top['folds']!r}")
+    task = _section(top["task"], "task", TaskSpec)
+    world = None if top["world"] is None else _section(top["world"], "world", WorldConfig)
+    if world is not None and world.task_kind != task.kind:
+        raise ValueError(
+            f"manifest world.task_kind {world.task_kind!r} != task.kind {task.kind!r}"
+        )
+    arch = _section(top["architecture"], "architecture")
+    if arch["preset"] not in PRESETS:
+        raise ValueError(f"unknown architecture preset {arch['preset']!r}")
+    fifth = arch["include_fifth_block"]
+    try:
+        specs, input_shape = PRESETS[arch["preset"]](
+            arch["n_channels"], **({} if fifth is None else {"include_fifth_block": fifth})
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest architecture: {exc}") from None
+    dtype = top["dtype"]
+    train = _section(top["estimator"], "estimator", TrainConfig, dtype=dtype)
+    estimator = {**SETTINGS["estimator"], **top["estimator"]}
+    return {
+        "task": task, "task_name": top["task"].get("name") or task.kind,
+        "world": world, "datasets": None if world else _section(top["datasets"], "datasets"),
+        "als": _section(top["als"], "als", AlsConfig),
+        "features": _section(top["features"], "features", FeatureConfig),
+        "preset": arch["preset"], "n_channels": arch["n_channels"],
+        "specs": specs, "input_shape": input_shape,
+        "train": train, "estimator_val_fraction": estimator["val_fraction"],
+        "normalize_targets": estimator["normalize_targets"],
+        "split": _section(top["split"], "split"),
+        "regimes": [
+            _section(r, f"regimes[{i}]", RegimeConfig, seed=0, dtype=dtype)
+            for i, r in enumerate(top["regimes"])
+        ],
+        "seeds": top["seeds"], "folds": top["folds"],
+    }
 
 
 def make_config(cls, values, section):
@@ -124,28 +173,6 @@ def make_config(cls, values, section):
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
     return cls(**values)
-
-
-def _task_spec(manifest) -> TaskSpec:
-    t = manifest["task"]
-    return TaskSpec(
-        kind=t["kind"],
-        n_classes=t.get("n_classes"),
-        target_dim=t.get("target_dim"),
-        metric=t.get("metric", "accuracy" if t["kind"] == "classification" else "r_squared"),
-    )
-
-
-def _arch(manifest):
-    a = manifest["architecture"]
-    name = a.get("preset", "cf_estimator_desk")
-    if name not in PRESETS:
-        raise ValueError(f"unknown architecture preset {name!r}")
-    kwargs = {}
-    if "include_fifth_block" in a:
-        kwargs["include_fifth_block"] = a["include_fifth_block"]
-    specs, input_shape = PRESETS[name](a["n_channels"], **kwargs)
-    return specs, input_shape, a["n_channels"]
 
 
 def write_world(world: World, out_dir):
@@ -187,31 +214,23 @@ def _load_labels_csv(path, kind):
 
 
 def _stage_world(ctx):
-    manifest = ctx["manifest"]
-    task = ctx["task"]
-    if "world" in manifest:
-        config = make_config(WorldConfig, manifest["world"], "world")
-        if config.task_kind != task.kind:
-            raise ValueError(
-                f"world task_kind {config.task_kind!r} != manifest task kind {task.kind!r}"
-            )
-        world = generate_world(config)
+    if ctx["world"] is not None:
+        world = generate_world(ctx["world"])
         write_world(world, ctx["out_dir"] / "world")
         ctx["logs"] = world.logs
         ctx["item_ids"] = world.item_ids
         ctx["waveforms"] = world.waveforms
         ctx["labels"] = np.asarray(world.labels)
     else:
-        paths = manifest["datasets"]
-        for key in ("logs", "audio_dir", "labels"):
-            if key not in paths:
-                raise ValueError(f"datasets section is missing {key!r}")
-            if not Path(paths[key]).exists():
-                raise ValueError(f"dataset path does not exist: {paths[key]}")
+        paths = ctx["datasets"]
+        for path in paths.values():
+            if not Path(path).exists():
+                raise ValueError(f"dataset path does not exist: {path}")
         ctx["logs"] = parse_log_file(paths["logs"])
-        rate = manifest.get("features", {}).get("sample_rate", 16000)
-        ctx["item_ids"], ctx["waveforms"] = read_audio_dir(paths["audio_dir"], rate)
-        label_map = _load_labels_csv(paths["labels"], task.kind)
+        ctx["item_ids"], ctx["waveforms"] = read_audio_dir(
+            paths["audio_dir"], ctx["features"].sample_rate
+        )
+        label_map = _load_labels_csv(paths["labels"], ctx["task"].kind)
         missing = [i for i in ctx["item_ids"] if i not in label_map]
         if missing:
             raise ValueError(f"labels file is missing {len(missing)} item ids, e.g. {missing[0]!r}")
@@ -249,14 +268,14 @@ def write_features(item_ids, waveforms, config: FeatureConfig, out_dir):
 
 
 def _stage_als(ctx):
-    config = make_config(AlsConfig, ctx["manifest"].get("als", {}), "als")
     path = ctx["out_dir"] / "embeddings" / "item_embeddings.ftab"
-    _, ctx["embedding"] = fit_embedding(ctx["logs"], config, path)
+    _, ctx["embedding"] = fit_embedding(ctx["logs"], ctx["als"], path)
 
 
 def _stage_features(ctx):
-    config = make_config(FeatureConfig, ctx["manifest"].get("features", {}), "features")
-    grids = write_features(ctx["item_ids"], ctx["waveforms"], config, ctx["out_dir"] / "features")
+    grids = write_features(
+        ctx["item_ids"], ctx["waveforms"], ctx["features"], ctx["out_dir"] / "features"
+    )
     shapes = {g.shape for g in grids.values()}
     if len(shapes) != 1:
         raise ValueError(f"inconsistent mel grid shapes: {sorted(shapes)}")
@@ -270,23 +289,21 @@ def _features_array(ctx, item_ids):
 
 
 def _split_counts(ctx):
-    split = ctx["manifest"]["split"]
     n_items = len(ctx["item_ids"])
-    n_est = split["n_estimator_items"]
+    n_est = ctx["split"]["n_estimator_items"]
     if not (0 < n_est < n_items):
         raise ValueError(f"n_estimator_items={n_est} must be in (0, {n_items})")
     return n_est
 
 
 def _stage_estimator(ctx):
-    manifest = ctx["manifest"]
-    specs, input_shape, _ = _arch(manifest)
+    input_shape = ctx["input_shape"]
     if ctx["grid_shape"] != tuple(input_shape[:2]):
         raise ValueError(
             f"mel grids {ctx['grid_shape']} do not match architecture input "
             f"{tuple(input_shape[:2])}"
         )
-    config, val_fraction, normalize = _estimator_settings(manifest)
+    config = ctx["train"]
     n_est = _split_counts(ctx)
     est_ids = ctx["item_ids"][:n_est]
     embedding = ctx.get("embedding")
@@ -294,20 +311,18 @@ def _stage_estimator(ctx):
         embedding = load_embedding(ctx["out_dir"] / "embeddings" / "item_embeddings.ftab")
         ctx["embedding"] = embedding
     targets = np.stack([item_vector(embedding, i) for i in est_ids], axis=0)
-    if normalize:
+    if ctx["normalize_targets"]:
         norms = np.linalg.norm(targets, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise ValueError("cannot normalize zero embedding targets")
         targets = targets / norms
     features = _features_array(ctx, est_ids)
-    train_idx, val_idx = plain_split(len(est_ids), (val_fraction,), seed=[config.seed, 3])
+    train_idx, val_idx = plain_split(n_est, (ctx["estimator_val_fraction"],), seed=[config.seed, 3])
     model, info = train_cf_estimator(
-        features, targets, specs, input_shape, config, train_idx, val_idx
+        features, targets, ctx["specs"], input_shape, config, train_idx, val_idx
     )
     save_checkpoint(
-        model,
-        ctx["out_dir"] / "checkpoints" / "cf_estimator.npz",
-        extra={"preset": manifest["architecture"].get("preset", "cf_estimator_desk")},
+        model, ctx["out_dir"] / "checkpoints" / "cf_estimator.npz", extra={"preset": ctx["preset"]}
     )
     _write_csv(
         ctx["out_dir"] / "curves" / "estimator.csv",
@@ -344,13 +359,10 @@ def _make_splits(task: TaskSpec, labels, folds, seed, val_fraction, test_fractio
 
 
 def _stage_tasks(ctx):
-    manifest = ctx["manifest"]
-    task = ctx["task"]
-    specs, input_shape, n_channels = _arch(manifest)
+    task, specs, input_shape = ctx["task"], ctx["specs"], ctx["input_shape"]
     estimator = ctx.get("estimator")
     ckpt = ctx["out_dir"] / "checkpoints" / "cf_estimator.npz"
-    needs_estimator = any(r["regime"] != "base" for r in manifest["regimes"])
-    if estimator is None and needs_estimator:
+    if estimator is None and any(r.regime != "base" for r in ctx["regimes"]):
         if not ckpt.exists():
             raise ValueError("estimator checkpoint missing; run train-estimator first")
         estimator = load_checkpoint(ckpt, expect_specs=specs, expect_input_shape=input_shape)
@@ -360,18 +372,15 @@ def _stage_tasks(ctx):
     task_ids = ctx["item_ids"][n_est:]
     labels = ctx["labels"][n_est:]
     features = _features_array(ctx, task_ids)
-    split_cfg = manifest["split"]
-    folds = manifest.get("folds", 1)
-    val_fraction = split_cfg.get("val_fraction", 0.15)
-    test_fraction = split_cfg.get("test_fraction", 0.25)
-    task_name = manifest["task"].get("name", task.kind)
-
+    split, task_name, n_channels = ctx["split"], ctx["task_name"], ctx["n_channels"]
     out_dir = ctx["out_dir"]
 
     results = []
     fold_records = []
-    for seed in manifest["seeds"]:
-        splits = _make_splits(task, labels, folds, [seed, 17], val_fraction, test_fraction)
+    for seed in ctx["seeds"]:
+        splits = _make_splits(
+            task, labels, ctx["folds"], [seed, 17], split["val_fraction"], split["test_fraction"]
+        )
         for train_idx, val_idx, test_idx, fold in splits:
             fold_records.append(
                 {
@@ -389,12 +398,8 @@ def _stage_tasks(ctx):
                 val_idx=val_idx,
                 test_idx=test_idx,
             )
-            for regime_dict in manifest["regimes"]:
-                regime = make_config(
-                    RegimeConfig,
-                    {**regime_dict, "seed": int(seed), "dtype": manifest.get("dtype", "float64")},
-                    "regime",
-                )
+            for regime in ctx["regimes"]:
+                regime = dataclasses.replace(regime, seed=seed)
                 start = time.perf_counter()
                 model, result = train_task(
                     task,
@@ -440,7 +445,7 @@ def write_results_csv(path, results):
     """One row per (task, regime, channels, seed, fold) cell."""
     _write_csv(
         path,
-        "task,regime,channels,seed,fold,metric,epochs,seconds",
+        ",".join(RESULT_COLUMNS),
         (
             [task_name, r.regime, r.n_channels, r.seed, r.fold,
              f"{r.metric_value:.6f}", r.epochs_run, f"{r.seconds:.3f}"]
@@ -455,18 +460,13 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     Any stage failure raises :class:`StageError` naming the stage;
     artifacts written before the failure remain on disk.
     """
-    validate_manifest(manifest)
+    settings = validate_manifest(manifest)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    ctx = {
-        "manifest": manifest,
-        "out_dir": out_dir,
-        "deterministic": deterministic,
-        "task": _task_spec(manifest),
-    }
+    ctx = {**settings, "out_dir": out_dir, "deterministic": deterministic}
     stage_fns = {
         "world": _stage_world,
         "als": _stage_als,
@@ -487,26 +487,12 @@ def read_results_csv(path):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        expected = ["task", "regime", "channels", "seed", "fold", "metric", "epochs", "seconds"]
-        if header != expected:
+        if header != list(RESULT_COLUMNS):
             raise ValueError(f"{path}: unexpected results header {header}")
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            task, regime, channels, seed, fold, metric, epochs, seconds = line.split(",")
-            rows.append(
-                {
-                    "task": task,
-                    "regime": regime,
-                    "channels": int(channels),
-                    "seed": int(seed),
-                    "fold": int(fold),
-                    "metric": float(metric),
-                    "epochs": int(epochs),
-                    "seconds": float(seconds),
-                }
-            )
+            if line.strip():
+                values = zip(RESULT_COLUMNS.items(), line.strip().split(","), strict=True)
+                rows.append({name: kind(value) for (name, kind), value in values})
     if not rows:
         raise ValueError(f"{path}: no result rows")
     return rows
@@ -519,8 +505,6 @@ def summarize_results(rows):
     'means' and 'tests'; the test entry is None when pairing or variance
     preconditions fail (e.g. a single pair or zero-variance differences).
     """
-    from .evaluation import paired_improvement_test
-
     by_regime = {}
     for row in rows:
         by_regime.setdefault(row["regime"], {})[

@@ -9,6 +9,7 @@ reduced schedule for short synthetic clips.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -56,8 +57,14 @@ class LayerSpec:
             if (getattr(self, name) is None) == (name == field):
                 need = "needs" if name == field else "takes no"
                 raise ValueError(f"{self.kind} layer {need} {name!r}")
-        if self.pool is not None:
-            object.__setattr__(self, "pool", tuple(self.pool))
+        value = getattr(self, field) if field else None
+        if field == "pool":
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(map(_positive_int, value))):
+                raise ValueError(f"max_pool layer 'pool' must be two positive ints, got {value!r}")
+            object.__setattr__(self, "pool", tuple(value))
+        elif field and not _positive_int(value):
+            raise ValueError(f"{self.kind} layer {field!r} must be a positive int, got {value!r}")
 
     def to_dict(self):
         return {k: list(v) if k == "pool" else v for k, v in vars(self).items() if v is not None}
@@ -68,6 +75,10 @@ class LayerSpec:
         if unknown:
             raise ValueError(f"unknown layer record key {unknown[0]!r}")
         return LayerSpec(**{"kind": None, **d})  # no kind: rejected as an unknown kind
+
+
+def _positive_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
 
 
 def _layer(spec, shape, rng, dtype):
@@ -109,11 +120,19 @@ def _keyed(dicts):
 # one pass over the batch; at 4 desk samples a 96x80x8 float32 activation
 # is under 1 MB and stays in a core's L2 cache from one layer to the next,
 # where a batch of 64 streams 16 MB arrays through memory.  A multiple of
-# 4, and a last block of one sample joins the block before it: BLAS groups
-# rows in fours and sends a single row down its vector path, and either a
-# block boundary inside a group or a one-row product changes the rounding
-# of the SE block's small products.
+# 4, and cut by :func:`batch_bounds`: BLAS groups rows in fours and sends a
+# single row down its vector path, and either a block boundary inside a group
+# or a one-row product changes the rounding of the SE block's small products.
 EVAL_BLOCK = 4
+
+
+def batch_bounds(n, size):
+    """(start, stop) pairs that cut ``n`` samples into runs of ``size``; a last
+    run of one sample joins the run before it (see ``EVAL_BLOCK``)."""
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
 
 
 class NetworkModel:
@@ -145,10 +164,8 @@ class NetworkModel:
                 if keep_cache:
                     caches.append(cache)
         else:
-            bounds = list(range(0, len(x), EVAL_BLOCK)) + [len(x)]
-            if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-                del bounds[-2]
-            x = np.concatenate([self._eval_block(x[a:b]) for a, b in zip(bounds, bounds[1:])])
+            blocks = batch_bounds(len(x), EVAL_BLOCK)
+            x = np.concatenate([self._eval_block(x[a:b]) for a, b in blocks])
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite activations in forward pass")
         return x, caches
@@ -207,8 +224,10 @@ class NetworkModel:
 def build_network(specs, input_shape, seed=0, dtype=np.float64):
     """Instantiate layers for a schedule; parameters drawn from ``seed``.
 
-    Raises ValueError where a layer cannot take its input shape.
+    Raises ValueError for an empty schedule or a layer that cannot take its input.
     """
+    if not specs:
+        raise ValueError("a network needs at least one layer")
     rng = np.random.default_rng(seed)
     shape, layers, shapes = tuple(input_shape), [], []
     for spec in specs:

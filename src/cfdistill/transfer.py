@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
+from .evaluation import accuracy, r_squared
 from .nn.adam import AdamConfig, AdamState, adam_step
 from .nn.layers import FullyConnected
 from .nn.losses import cosine_proximity_loss, mse_loss, softmax_cross_entropy
-from .nn.network import NetworkModel, build_network
+from .nn.network import NetworkModel, batch_bounds, build_network
 
 REGIMES = ("base", "fix", "init", "kd")
 
@@ -66,9 +67,10 @@ class TaskSpec:
     kind: str  # "classification" | "regression"
     n_classes: Optional[int] = None
     target_dim: Optional[int] = None
-    metric: str = "accuracy"
+    metric: Optional[str] = None  # None: the kind's metric
 
     def __post_init__(self):
+        self.metric = self.metric or ("accuracy" if self.kind == "classification" else "r_squared")
         if self.kind == "classification":
             if not self.n_classes or self.n_classes < 2:
                 raise ValueError("classification needs >= 2 classes")
@@ -141,22 +143,17 @@ def distillation_loss(penultimate, estimated_cf):
 
 def predict_network(model: NetworkModel, x, batch_size=64):
     """Eval-mode forward over batches, no caches kept."""
-    outs = []
-    for lo in range(0, x.shape[0], batch_size):
-        out, _ = model.forward(x[lo : lo + batch_size], train=False, keep_cache=False)
-        outs.append(out)
-    return np.concatenate(outs, axis=0)
+    return np.concatenate([
+        model.forward(x[a:b], train=False, keep_cache=False)[0]
+        for a, b in batch_bounds(len(x), batch_size)
+    ])
 
 
 def _epoch_batches(train_idx, batch_size, rng):
-    """Shuffled batches; a trailing singleton is merged into its neighbor
-    so train-mode batch norm always sees at least two samples."""
+    """Shuffled batches, cut by :func:`batch_bounds` so that train-mode batch
+    norm always sees at least two samples."""
     order = rng.permutation(train_idx)
-    batches = [order[i : i + batch_size] for i in range(0, order.size, batch_size)]
-    if len(batches) > 1 and batches[-1].size == 1:
-        batches[-2] = np.concatenate([batches[-2], batches[-1]])
-        batches.pop()
-    return batches
+    return [order[a:b] for a, b in batch_bounds(order.size, batch_size)]
 
 
 def _fit(step, val_loss, get_state, set_state, epochs, patience, train_idx, batch_size, seed,
@@ -254,8 +251,6 @@ def _task_loss(task: TaskSpec, outputs, targets):
 
 
 def _metric_value(task: TaskSpec, outputs, targets):
-    from .evaluation import accuracy, r_squared
-
     if task.kind == "classification":
         return accuracy(np.argmax(outputs, axis=1), targets)
     return r_squared(outputs[:, 0], np.asarray(targets, dtype=np.float64).reshape(-1))

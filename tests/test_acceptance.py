@@ -2,7 +2,8 @@
 
 Criteria 1-5 and 8 are fast; 6 and 7 run full desk-scale pipelines and
 dominate the suite's runtime (the directional replication trains every
-regime over 5 seeds).
+regime over 5 seeds).  Those two are marked ``slow``, so
+``pytest -m "not slow"`` runs everything else.
 """
 
 import time
@@ -202,6 +203,7 @@ def test_criterion_5_regime_contracts():
     print("\nPASS criterion 5: kd(0)==base bitwise; fix frozen; init starts at estimator")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_directional_replication(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "default_run"
@@ -224,6 +226,7 @@ def test_criterion_6_desk_scale_directional_replication(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_fix_at_chance_on_control_world(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "control_run"

@@ -24,6 +24,44 @@ def write_manifest(tmp_path, manifest):
     return path
 
 
+def manifest_with(path, value):
+    """The tiny manifest with the key at ``path`` (such as 'regimes[1].kd_weight')
+    set to ``value``; a ``datasets`` path gets a manifest that reads datasets."""
+    manifest = make_tiny_manifest()
+    if path.startswith("datasets."):
+        del manifest["world"]
+        manifest["datasets"] = {"logs": "logs.tsv", "audio_dir": "audio", "labels": "labels.csv"}
+    *parents, key = path.replace("]", "").replace("[", ".").split(".")
+    section = manifest
+    for part in parents:
+        section = section[int(part) if part.isdigit() else part]
+    section[key] = value
+    return manifest
+
+
+# (key path, value, part of the error) for values the manifest parse rejects
+BAD_VALUES = [
+    ("als.n_factors", 0, "manifest als: n_factors must be >= 1"),
+    ("regimes[1].kd_weight", -1, "manifest regimes[1]: kd_weight must be nonnegative"),
+    ("world.task_kind", "regression", "world.task_kind 'regression' != task.kind"),
+    ("architecture.n_channels", 0, "architecture: conv2d layer 'out_channels'"),
+    ("architecture.include_fifth_block", False, "unexpected keyword argument"),
+    ("task.metric", "r_squared", "manifest task: classification tasks use"),
+    ("folds", 0, "folds must be a positive int"),
+]
+
+
+def assert_rejected_before_any_stage(tmp_path, capsys, manifest):
+    """``run`` exits 1 with one error line and creates no output directory;
+    returns the error line."""
+    out = tmp_path / "o"
+    assert main(["run", str(write_manifest(tmp_path, manifest)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
 class TestGenerateWorld:
     def test_writes_world_files(self, tmp_path, capsys):
         config = tmp_path / "world.json"
@@ -184,18 +222,23 @@ class TestManifestCommands:
         assert not out.exists()  # rejected before any stage ran
 
     @pytest.mark.parametrize(
-        "path", ["architecture.n_chanels", "task.n_clases", "split.val_fration", "fold"]
+        "path",
+        [
+            "architecture.n_chanels", "task.n_clases", "split.val_fration", "fold",
+            "world.n_user", "als.n_factor", "features.n_mel", "regimes[1].kd_wieght",
+            "regimes[0].seed", "datasets.label",
+        ],
     )
     def test_unknown_section_key_is_single_line_error(self, tmp_path, capsys, path):
-        m = make_tiny_manifest()
-        *section, key = path.split(".")
-        (m[section[0]] if section else m)[key] = 1
-        out = tmp_path / "o"
-        assert main(["run", str(write_manifest(tmp_path, m)), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        err = assert_rejected_before_any_stage(tmp_path, capsys, manifest_with(path, 1))
         assert f"'{path}'" in err
-        assert not out.exists()  # rejected before any stage ran
+
+    @pytest.mark.parametrize(
+        "path, value, message", BAD_VALUES, ids=[path for path, _, _ in BAD_VALUES]
+    )
+    def test_bad_manifest_value_is_single_line_error(self, tmp_path, capsys, path, value, message):
+        err = assert_rejected_before_any_stage(tmp_path, capsys, manifest_with(path, value))
+        assert message in err
 
     @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
     def test_shipped_manifests_validate(self, name):

@@ -19,8 +19,11 @@ from cfdistill.experiment import (
     validate_manifest,
     write_results_csv,
 )
+from cfdistill.features import FeatureConfig
 from cfdistill.fileio import load_float_table, write_raw_float32
-from cfdistill.transfer import ExperimentResult
+from cfdistill.nn.network import cf_estimator_desk
+from cfdistill.transfer import ExperimentResult, TaskSpec, TrainConfig
+from cfdistill.world import WorldConfig
 
 from conftest import make_tiny_manifest
 
@@ -95,17 +98,19 @@ class TestRunExperiment:
                 stages=("world", "features", "tasks"),
             )
 
-    def test_unknown_regime_key_fails_in_tasks_stage(self, tmp_path):
+    def test_unknown_regime_key_fails_before_any_stage(self, tmp_path):
         manifest = make_tiny_manifest()
         manifest["regimes"][1]["patiense"] = 3
-        with pytest.raises(StageError, match="stage=tasks: unknown regime key 'patiense'"):
+        with pytest.raises(ValueError, match=r"unknown manifest key 'regimes\[1\]\.patiense'"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
+        assert not (tmp_path / "out").exists()
 
-    def test_world_task_kind_mismatch_fails_in_world_stage(self, tmp_path):
+    def test_world_task_kind_mismatch_fails_before_any_stage(self, tmp_path):
         manifest = make_tiny_manifest()
         manifest["world"] = dict(manifest["world"], task_kind="regression")
-        with pytest.raises(StageError, match="stage=world"):
+        with pytest.raises(ValueError, match="world.task_kind 'regression' != task.kind"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDatasetMode:
@@ -183,6 +188,38 @@ class TestManifestValidation:
     def test_missing_section(self, tiny_manifest):
         del tiny_manifest["estimator"]
         with pytest.raises(ValueError, match="estimator"):
+            validate_manifest(tiny_manifest)
+
+    def test_parse_gives_each_stage_its_objects(self, tiny_manifest):
+        del tiny_manifest["task"]["metric"], tiny_manifest["task"]["name"]
+        del tiny_manifest["split"]["val_fraction"], tiny_manifest["folds"]
+        del tiny_manifest["estimator"]["normalize_targets"], tiny_manifest["features"]
+        settings = validate_manifest(tiny_manifest)
+        assert settings["task"] == TaskSpec("classification", n_classes=4, metric="accuracy")
+        assert settings["task_name"] == "classification"
+        assert settings["world"] == WorldConfig(**tiny_manifest["world"])
+        assert settings["datasets"] is None
+        assert settings["features"] == FeatureConfig()
+        assert settings["als"].n_iterations == 4
+        specs, input_shape = cf_estimator_desk(8)
+        assert (settings["specs"], settings["input_shape"]) == (specs, input_shape)
+        assert (settings["preset"], settings["n_channels"]) == ("cf_estimator_desk", 8)
+        assert settings["train"] == TrainConfig(
+            epochs=2, batch_size=8, learning_rate=0.003, seed=100, dtype="float32"
+        )
+        assert settings["estimator_val_fraction"] == 0.2
+        assert settings["normalize_targets"] is False
+        assert settings["split"] == {
+            "n_estimator_items": 20, "val_fraction": 0.15, "test_fraction": 0.25
+        }
+        assert [r.regime for r in settings["regimes"]] == ["base", "kd"]
+        assert all(r.dtype == "float32" for r in settings["regimes"])
+        assert (settings["seeds"], settings["folds"]) == ([0], 1)
+
+    @pytest.mark.parametrize("key", ["seed", "dtype"])
+    def test_regime_may_not_set_seed_or_dtype(self, tiny_manifest, key):
+        tiny_manifest["regimes"][0][key] = 123 if key == "seed" else "float64"
+        with pytest.raises(ValueError, match=rf"'regimes\[0\]\.{key}'"):
             validate_manifest(tiny_manifest)
 
 

@@ -16,6 +16,7 @@ from cfdistill.nn.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from cfdistill.transfer import predict_network
 
 from gradcheck import numeric_grad
 
@@ -217,8 +218,9 @@ class TestForwardBackward:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_blocked_eval_forward_matches_one_pass(self, dtype):
         """Eval mode without caches runs the stack EVAL_BLOCK samples at a
-        time; its rows must equal one pass over the batch bit for bit, also
-        when the last block is short or holds a single sample."""
+        time, and predict_network in batches of its own; their rows must
+        equal one pass over the batch bit for bit, also when the last block
+        or batch is short or holds a single sample."""
         model, _, _ = build_preset("cf_estimator_desk", 8, seed=3, dtype=dtype)
         rng = np.random.default_rng(4)
         for layer in model.layers:
@@ -231,6 +233,11 @@ class TestForwardBackward:
             whole, _ = model.forward(x[:n], train=False, keep_cache=True)
             assert caches is None
             np.testing.assert_array_equal(blocked, whole, err_msg=f"batch of {n}")
+            for batch_size in (4, 8):
+                np.testing.assert_array_equal(
+                    predict_network(model, x[:n], batch_size=batch_size), whole,
+                    err_msg=f"predict_network on {n} in batches of {batch_size}",
+                )
 
     def test_stale_cache_rejected(self):
         model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
@@ -307,16 +314,29 @@ class TestCheckpoints:
             ({"kind": "conv2d"}, "conv2d layer needs 'out_channels'"),
             ({"kind": "relu", "width": 3}, "relu layer takes no 'width'"),
             ({"kind": "relu", "widht": 3}, "unknown layer record key 'widht'"),
+            ({"kind": "se_block", "ratio": 0}, "se_block layer 'ratio' must be a positive int"),
+            ({"kind": "fully_connected", "width": 2.5}, "'width' must be a positive int"),
+            ({"kind": "conv2d", "out_channels": True}, "'out_channels' must be a positive int"),
+            ({"kind": "max_pool", "pool": [2]}, "'pool' must be two positive ints"),
+            ({"kind": "max_pool", "pool": [2, -1]}, "'pool' must be two positive ints"),
+            ([], "at least one layer"),
         ],
-        ids=["missing_field", "extra_field", "unknown_key"],
+        ids=[
+            "missing_field", "extra_field", "unknown_key", "zero_ratio", "float_width",
+            "bool_channels", "short_pool", "negative_pool", "empty_schedule",
+        ],
     )
     def test_malformed_layer_record_rejected(self, tmp_path, record, match):
+        """A bad layer record (or, given a list, a bad whole schedule) fails to load."""
         model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
 
         def edit(arch, arrays):
-            arch["layers"][1] = record
+            if isinstance(record, list):
+                arch["layers"] = record
+            else:
+                arch["layers"][1] = record
 
         rewrite_checkpoint(path, edit)
         with pytest.raises(ValueError, match=match):

@@ -351,3 +351,7 @@ class TestConfigValidation:
             TaskSpec(kind="classification", n_classes=3, metric="r_squared")
         with pytest.raises(ValueError):
             TaskSpec(kind="unknown")
+
+    def test_task_spec_metric_defaults_by_kind(self):
+        assert TaskSpec(kind="classification", n_classes=3).metric == "accuracy"
+        assert TaskSpec(kind="regression").metric == "r_squared"
