@@ -9,11 +9,12 @@ rest of the pipeline consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .fileio import load_float_table, save_float_table
 
@@ -79,36 +80,71 @@ class UserItemMatrix:
     def nnz(self) -> int:
         return self.counts.nnz
 
+    @cached_property
+    def counts_by_item(self) -> sp.csr_matrix:
+        """The item-by-user transpose of ``counts``, built on first use."""
+        return self.counts.T.tocsr()
 
-def build_interaction_matrix(logs: Sequence[ListeningLog]) -> UserItemMatrix:
-    """Aggregate logs into a sparse count matrix.
+
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """Listening logs as columns: entry j says that user ``user_ids[users[j]]``
+    played item ``item_ids[items[j]]`` ``counts[j]`` times."""
+
+    user_ids: list
+    item_ids: list
+    users: np.ndarray
+    items: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
+def _log_columns(logs: Iterable[ListeningLog]) -> Interactions:
+    """Columns of a log sequence, ids coded in order of first appearance."""
+    user_index: dict = {}
+    item_index: dict = {}
+    users, items, counts = [], [], []
+    for log in logs:
+        users.append(user_index.setdefault(log.user_id, len(user_index)))
+        items.append(item_index.setdefault(log.item_id, len(item_index)))
+        counts.append(log.count)
+    return Interactions(
+        list(user_index), list(item_index), np.asarray(users, dtype=np.int64),
+        np.asarray(items, dtype=np.int64), np.asarray(counts),
+    )
+
+
+def _first_appearance(codes, ids):
+    """``codes`` renumbered 0, 1, ... in order of first appearance, and the ids
+    of the renumbered codes in that order (ids no entry uses are dropped)."""
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], [ids[c] for c in used[order].tolist()]
+
+
+def build_interaction_matrix(logs: Union[Interactions, Iterable[ListeningLog]]) -> UserItemMatrix:
+    """Aggregate logs, as columns or as ``ListeningLog`` records, into a
+    sparse count matrix.
 
     Duplicate (user, item) pairs sum their counts; users and items are
     indexed in order of first appearance so the result is deterministic
     for a given log sequence.
     """
-    logs = list(logs)
-    if not logs:
+    if not isinstance(logs, Interactions):
+        logs = _log_columns(logs)
+    if not len(logs):
         raise ValueError("cannot build an interaction matrix from an empty log")
-    user_ids: list = []
-    item_ids: list = []
-    user_index: dict = {}
-    item_index: dict = {}
-    rows, cols, vals = [], [], []
-    for log in logs:
-        if log.count < 1:
-            raise ValueError(f"log count must be >= 1, got {log.count}")
-        u = user_index.setdefault(log.user_id, len(user_ids))
-        if u == len(user_ids):
-            user_ids.append(log.user_id)
-        i = item_index.setdefault(log.item_id, len(item_ids))
-        if i == len(item_ids):
-            item_ids.append(log.item_id)
-        rows.append(u)
-        cols.append(i)
-        vals.append(log.count)
+    low = np.flatnonzero(logs.counts < 1)
+    if low.size:
+        raise ValueError(f"log count must be >= 1, got {logs.counts[low[0]]}")
+    rows, user_ids = _first_appearance(logs.users, logs.user_ids)
+    cols, item_ids = _first_appearance(logs.items, logs.item_ids)
     counts = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)),
+        (np.asarray(logs.counts, dtype=np.float64), (rows, cols)),
         shape=(len(user_ids), len(item_ids)),
     ).tocsr()
     return UserItemMatrix(counts, user_ids, item_ids)
@@ -207,7 +243,9 @@ def als_solve_side(fixed, matrix: UserItemMatrix, config: AlsConfig, side: str):
     ``p`` and diagonal confidences ``C_u``.  Assembly uses
     ``Y^T C_u Y = Y^T Y + Y^T (C_u - I) Y`` so the per-row cost scales
     with the row's non-zeros, not with the full item count.  Rows with no
-    interactions get the zero vector (the ridge minimizer).
+    interactions get the zero vector (the ridge minimizer).  Each row is
+    factored and solved by LAPACK ``potrf``/``potrs``, the routines behind
+    scipy's ``cho_factor(lower=True)``/``cho_solve``, called directly.
     """
     if side not in ("user", "item"):
         raise ValueError(f"side must be 'user' or 'item', got {side!r}")
@@ -217,28 +255,33 @@ def als_solve_side(fixed, matrix: UserItemMatrix, config: AlsConfig, side: str):
         raise ValueError(
             f"fixed factors must have {k} columns, got shape {fixed.shape}"
         )
-    counts = matrix.counts if side == "user" else matrix.counts.T.tocsr()
+    counts = matrix.counts if side == "user" else matrix.counts_by_item
     if fixed.shape[0] != counts.shape[1]:
         raise ValueError(
             f"fixed side has {fixed.shape[0]} rows, matrix expects {counts.shape[1]}"
         )
+    if not np.all(np.isfinite(fixed)):
+        raise ValueError("fixed factors contain non-finite entries")
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (fixed,))
+    weight = config.alpha * counts.data  # the diagonal of C_u - I
+    target = 1.0 + weight  # C_u p(u) on the row's non-zeros
     yty = fixed.T @ fixed
     out = np.zeros((counts.shape[0], k), dtype=np.float64)
-    eye = np.eye(k)
+    indptr, indices = counts.indptr, counts.indices
     for u in range(counts.shape[0]):
-        lo, hi = counts.indptr[u], counts.indptr[u + 1]
+        lo, hi = indptr[u], indptr[u + 1]
         if lo == hi:
             continue
-        cols = counts.indices[lo:hi]
-        r = counts.data[lo:hi]
-        m = fixed[cols]
-        a = yty + (m.T * (config.alpha * r)) @ m + _row_reg(config, hi - lo) * eye
-        b = m.T @ (1.0 + config.alpha * r)
-        try:
-            factor = cho_factor(a, lower=True)
-        except np.linalg.LinAlgError as exc:  # unreachable for reg_lambda > 0
-            raise ValueError(f"normal matrix for row {u} is not SPD: {exc}") from exc
-        out[u] = cho_solve(factor, b)
+        m = fixed[indices[lo:hi]]
+        a = yty + (m.T * weight[lo:hi]) @ m
+        a.flat[:: k + 1] += _row_reg(config, hi - lo)
+        factor, info = potrf(a, lower=1, clean=0)
+        if info > 0:  # unreachable for reg_lambda > 0
+            raise ValueError(
+                f"normal matrix for row {u} is not SPD: "
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        out[u], _ = potrs(factor, m.T @ target[lo:hi], lower=1)
     return out
 
 
@@ -296,7 +339,7 @@ def weighted_loss(matrix: UserItemMatrix, emb: CfEmbedding, config: AlsConfig):
     pred = x @ y.T
     data_term = float(np.sum(conf * (pref - pred) ** 2))
     nnz_u = np.diff(matrix.counts.indptr)
-    nnz_i = np.diff(matrix.counts.T.tocsr().indptr)
+    nnz_i = np.diff(matrix.counts_by_item.indptr)
     if config.scale_reg_by_count:
         reg = config.reg_lambda * (
             float(nnz_u @ np.sum(x * x, axis=1)) + float(nnz_i @ np.sum(y * y, axis=1))

@@ -57,7 +57,7 @@ def _cmd_generate_world(args):
     write_world(world, args.out)
     print(
         f"wrote world: {world.config.n_users} users, {world.config.n_items} items, "
-        f"{len(world.logs)} interactions -> {args.out}"
+        f"{len(world.interactions)} interactions -> {args.out}"
     )
     return 0
 

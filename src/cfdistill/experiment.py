@@ -33,7 +33,7 @@ from .als import (
 )
 from .evaluation import paired_improvement_test, plain_split, stratified_kfold, stratified_split
 from .features import FeatureConfig, Waveform, melspectrogram
-from .nn.network import PRESETS, load_checkpoint, save_checkpoint
+from .nn.network import PRESETS, layer_shapes, load_checkpoint, save_checkpoint
 from .transfer import (
     RegimeConfig,
     TaskData,
@@ -144,6 +144,7 @@ def validate_manifest(manifest):
         specs, input_shape = PRESETS[arch["preset"]](
             arch["n_channels"], **({} if fifth is None else {"include_fifth_block": fifth})
         )
+        layer_shapes(specs, input_shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"manifest architecture: {exc}") from None
     dtype = top["dtype"]
@@ -179,9 +180,12 @@ def write_world(world: World, out_dir):
     """Persist a generated world: logs, audio, labels, true latents."""
     out_dir = Path(out_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
+    logs = world.interactions
     with open(out_dir / "logs.tsv", "w", encoding="utf-8") as fh:
-        for log in world.logs:
-            fh.write(f"{log.user_id}\t{log.item_id}\t{log.count}\n")
+        fh.writelines(
+            f"{logs.user_ids[u]}\t{logs.item_ids[i]}\t{c}\n"
+            for u, i, c in zip(logs.users.tolist(), logs.items.tolist(), logs.counts.tolist())
+        )
     for item_id, wave in zip(world.item_ids, world.waveforms):
         fileio.write_raw_float32(out_dir / "audio" / f"{item_id}.f32", wave.samples, wave.sample_rate)
     with open(out_dir / "labels.csv", "w", encoding="utf-8") as fh:
@@ -217,7 +221,7 @@ def _stage_world(ctx):
     if ctx["world"] is not None:
         world = generate_world(ctx["world"])
         write_world(world, ctx["out_dir"] / "world")
-        ctx["logs"] = world.logs
+        ctx["logs"] = world.interactions
         ctx["item_ids"] = world.item_ids
         ctx["waveforms"] = world.waveforms
         ctx["labels"] = np.asarray(world.labels)

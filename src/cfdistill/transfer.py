@@ -43,6 +43,21 @@ class TrainConfig:
     patience: Optional[int] = None
     dtype: str = "float64"
 
+    def __post_init__(self):
+        _check_training(self)
+
+
+def _check_training(config):
+    """The ranges every training config shares."""
+    if config.epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if config.batch_size < 2:
+        raise ValueError("batch_size must be >= 2: train-mode batch norm needs two samples")
+    if config.learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
+    if config.patience is not None and config.patience < 1:
+        raise ValueError("patience must be >= 1")
+
 
 @dataclass
 class RegimeConfig:
@@ -60,6 +75,7 @@ class RegimeConfig:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.kd_weight < 0:
             raise ValueError("kd_weight must be nonnegative")
+        _check_training(self)
 
 
 @dataclass

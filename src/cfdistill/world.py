@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from .als import ListeningLog
+from .als import Interactions
 from .features import Waveform
 
 AMPLITUDE = 0.1  # overall output scale, keeps PCM headroom
@@ -64,7 +64,7 @@ class WorldConfig:
 @dataclass
 class World:
     config: WorldConfig
-    logs: list
+    interactions: Interactions
     waveforms: list
     labels: np.ndarray
     item_ids: list
@@ -161,24 +161,19 @@ def generate_world(config: WorldConfig) -> World:
             tries += 1
             if tries >= 1000:
                 mask[int(np.argmax(probs[:, i])), i] = True
-    counts = np.ones(mask.shape, dtype=np.int64)
-    counts[mask] += rng_int.poisson(config.count_rate, size=int(mask.sum()))
+    # Row-major: user by user, each user's items in index order.
+    users, items = np.nonzero(mask)
+    counts = 1 + rng_int.poisson(config.count_rate, size=users.size)
 
     item_ids = [f"item_{i:05d}" for i in range(config.n_items)]
     user_ids = [f"user_{u:05d}" for u in range(config.n_users)]
-    logs = [
-        ListeningLog(user_ids[u], item_ids[i], int(counts[u, i]))
-        for u in range(config.n_users)
-        for i in range(config.n_items)
-        if mask[u, i]
-    ]
 
     waveforms = [
         item_waveform(config, item_latents[i], i) for i in range(config.n_items)
     ]
     return World(
         config=config,
-        logs=logs,
+        interactions=Interactions(user_ids, item_ids, users, items, counts),
         waveforms=waveforms,
         labels=labels,
         item_ids=item_ids,

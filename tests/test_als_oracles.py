@@ -1,0 +1,184 @@
+"""The columnar builder and the direct-LAPACK row solves against the slow
+references they replaced (``reference_als``), bit for bit.
+
+The fast path changes no arithmetic: the same products in the same order,
+and the LAPACK routines scipy's ``cho_factor``/``cho_solve`` call.  So every
+comparison here is exact (``np.array_equal``, equal id lists), not a
+tolerance.  The last test runs ALS in two child processes, one with BLAS
+pinned to a single thread, and requires byte-identical item tables.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import cfdistill
+import reference_als as ref
+from cfdistill.als import (
+    AlsConfig,
+    ListeningLog,
+    UserItemMatrix,
+    als_fit,
+    als_solve_side,
+    build_interaction_matrix,
+)
+from cfdistill.experiment import write_world
+from cfdistill.world import WorldConfig, generate_world
+
+# Sparse enough that some of the 60 users never play any of the 20 items.
+SPARSE_WORLD = WorldConfig(n_users=60, n_items=20, seed=3, affinity_offset=-4.0, duration=0.125)
+
+
+def random_logs(rng, n_users, n_items, n_logs, max_count=6):
+    """Seeded log records in random order, with repeated (user, item) pairs."""
+    return [
+        ListeningLog(f"u{rng.integers(n_users)}", f"i{rng.integers(n_items)}",
+                     int(rng.integers(1, max_count + 1)))
+        for _ in range(n_logs)
+    ]
+
+
+def assert_same_matrix(got, want):
+    assert got.user_ids == want.user_ids
+    assert got.item_ids == want.item_ids
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.counts.shape == want.counts.shape
+
+
+def matrix_with_short_rows(rng, n_users=9, n_items=7):
+    """Random counts where user 0 and item 0 have no entries and user 1 and
+    item 1 have exactly one."""
+    dense = rng.integers(1, 5, size=(n_users, n_items)) * (rng.random((n_users, n_items)) < 0.6)
+    dense[0, :] = 0
+    dense[:, 0] = 0
+    dense[1, :] = 0
+    dense[:, 1] = 0
+    dense[1, 2] = 3
+    dense[3, 1] = 2
+    counts = sp.csr_matrix(dense.astype(np.float64))
+    return UserItemMatrix(counts, [f"u{u}" for u in range(n_users)],
+                          [f"i{i}" for i in range(n_items)])
+
+
+class TestBuilderMatchesReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_records(self, seed):
+        rng = np.random.default_rng(seed)
+        logs = random_logs(rng, 30, 25, 400)
+        assert_same_matrix(build_interaction_matrix(logs), ref.build_interaction_matrix(logs))
+
+    def test_one_record(self):
+        logs = [ListeningLog("u", "i", 2)]
+        assert_same_matrix(build_interaction_matrix(logs), ref.build_interaction_matrix(logs))
+
+    def test_generator_input(self):
+        logs = random_logs(np.random.default_rng(7), 5, 5, 40)
+        got = build_interaction_matrix(log for log in logs)
+        assert_same_matrix(got, ref.build_interaction_matrix(logs))
+
+    def test_bad_count_rejected_like_reference(self):
+        logs = [ListeningLog("u", "i", 2), ListeningLog("v", "i", 0)]
+        with pytest.raises(ValueError, match="log count must be >= 1, got 0"):
+            ref.build_interaction_matrix(logs)
+        with pytest.raises(ValueError, match="log count must be >= 1, got 0"):
+            build_interaction_matrix(logs)
+
+    def test_world_columns(self, tmp_path):
+        world = generate_world(SPARSE_WORLD)
+        logs = world.interactions
+        records = [
+            ListeningLog(logs.user_ids[u], logs.item_ids[i], int(c))
+            for u, i, c in zip(logs.users, logs.items, logs.counts)
+        ]
+        got = build_interaction_matrix(logs)
+        assert got.n_users < SPARSE_WORLD.n_users  # a user with no interactions is dropped
+        assert_same_matrix(got, ref.build_interaction_matrix(records))
+        # logs.tsv written from the columns is the record-by-record text
+        write_world(world, tmp_path)
+        text = "".join(f"{r.user_id}\t{r.item_id}\t{r.count}\n" for r in records)
+        assert (tmp_path / "logs.tsv").read_text(encoding="utf-8") == text
+
+
+class TestSolveMatchesReference:
+    @pytest.mark.parametrize("scale_reg_by_count", [True, False])
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_rows_bitwise_equal(self, side, scale_reg_by_count):
+        rng = np.random.default_rng(11)
+        m = matrix_with_short_rows(rng)
+        config = AlsConfig(n_factors=5, reg_lambda=0.2, alpha=7.0,
+                           scale_reg_by_count=scale_reg_by_count)
+        n_fixed = m.n_items if side == "user" else m.n_users
+        fixed = rng.normal(size=(n_fixed, 5))
+        got = als_solve_side(fixed, m, config, side)
+        want = ref.als_solve_side(fixed, m, config, side)
+        assert np.array_equal(got, want)
+        assert not got[0].any() and got[1].any()  # empty row zero, one-entry row solved
+
+    @pytest.mark.parametrize("scale_reg_by_count", [True, False])
+    def test_fit_bitwise_equal(self, scale_reg_by_count):
+        logs = random_logs(np.random.default_rng(5), 40, 30, 500)
+        m = build_interaction_matrix(logs)
+        config = AlsConfig(n_factors=8, n_iterations=3, seed=4,
+                           scale_reg_by_count=scale_reg_by_count)
+        emb = als_fit(m, config)
+        rng = np.random.default_rng(config.seed)
+        users = rng.uniform(-0.01, 0.01, size=(m.n_users, config.n_factors))
+        items = rng.uniform(-0.01, 0.01, size=(m.n_items, config.n_factors))
+        for _ in range(config.n_iterations):
+            users = ref.als_solve_side(items, m, config, "user")
+            items = ref.als_solve_side(users, m, config, "item")
+        assert np.array_equal(emb.user_vectors, users)
+        assert np.array_equal(emb.item_vectors, items)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_non_finite_fixed_rejected(self, side, bad):
+        m = matrix_with_short_rows(np.random.default_rng(2))
+        config = AlsConfig(n_factors=3)
+        fixed = np.ones((m.n_items if side == "user" else m.n_users, 3))
+        fixed[-1, 1] = bad
+        with pytest.raises(ValueError):
+            ref.als_solve_side(fixed, m, config, side)
+        with pytest.raises(ValueError, match="non-finite"):
+            als_solve_side(fixed, m, config, side)
+
+
+class TestBlasThreadInvariance:
+    def test_item_table_identical_with_one_and_default_blas_threads(self, tmp_path):
+        """``generate-world`` then ``als-fit`` writes the same item table whatever
+        the BLAS thread count.
+
+        With 600 users every item row holds well over 165 interactions, so its
+        ``k x nnz @ nnz x k`` product (k = 40) is past OpenBLAS's 262,144
+        multiply cut-off for using more than one thread.
+        """
+        config = tmp_path / "world.json"
+        config.write_text('{"n_users": 600, "n_items": 40, "duration": 0.125}', encoding="utf-8")
+        src = str(Path(cfdistill.__file__).resolve().parents[1])
+        inherited = dict(os.environ)
+        inherited["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        pinned = {**inherited, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        tables = {}
+        for name, env in (("pinned", pinned), ("inherited", inherited)):
+            out = tmp_path / name
+            for args in (["generate-world", str(config), str(out / "world"), "--seed", "2"],
+                         ["als-fit", str(out / "world" / "logs.tsv"), str(out / "items.ftab")]):
+                proc = subprocess.run([sys.executable, "-m", "cfdistill.cli", *args], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+            tables[name] = (out / "items.ftab").read_bytes()
+        logs = (tmp_path / "pinned" / "world" / "logs.tsv").read_text(encoding="utf-8")
+        per_item = np.unique([line.split("\t")[1] for line in logs.splitlines()],
+                             return_counts=True)[1]
+        assert per_item.min() > 165
+        assert tables["pinned"] == tables["inherited"]

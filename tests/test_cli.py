@@ -48,6 +48,10 @@ BAD_VALUES = [
     ("architecture.include_fifth_block", False, "unexpected keyword argument"),
     ("task.metric", "r_squared", "manifest task: classification tasks use"),
     ("folds", 0, "folds must be a positive int"),
+    ("estimator.batch_size", 0, "manifest estimator: batch_size must be >= 2"),
+    ("regimes[0].epochs", -1, "manifest regimes[0]: epochs must be >= 0"),
+    ("estimator.learning_rate", 0, "manifest estimator: learning_rate must be > 0"),
+    ("regimes[1].patience", 0, "manifest regimes[1]: patience must be >= 1"),
 ]
 
 
@@ -239,6 +243,12 @@ class TestManifestCommands:
     def test_bad_manifest_value_is_single_line_error(self, tmp_path, capsys, path, value, message):
         err = assert_rejected_before_any_stage(tmp_path, capsys, manifest_with(path, value))
         assert message in err
+
+    def test_schedule_that_does_not_fit_is_single_line_error(self, tmp_path, capsys):
+        # 4 channels pass LayerSpec's own checks; only the shape walk sees the SE ratio
+        manifest = manifest_with("architecture.n_channels", 4)
+        err = assert_rejected_before_any_stage(tmp_path, capsys, manifest)
+        assert "manifest architecture: se_block ratio 8 does not divide 4 channels" in err
 
     @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
     def test_shipped_manifests_validate(self, name):

@@ -23,22 +23,27 @@ def small_world():
 
 class TestLogsInvariants:
     def test_counts_positive_and_pairs_unique(self, small_world):
-        pairs = [(log.user_id, log.item_id) for log in small_world.logs]
-        assert len(pairs) == len(set(pairs))
-        assert all(log.count >= 1 for log in small_world.logs)
+        logs = small_world.interactions
+        pairs = set(zip(logs.users.tolist(), logs.items.tolist()))
+        assert len(pairs) == len(logs)
+        assert np.all(logs.counts >= 1)
 
     def test_every_item_has_an_interaction(self, small_world):
-        items_seen = {log.item_id for log in small_world.logs}
-        assert items_seen == set(small_world.item_ids)
+        logs = small_world.interactions
+        assert logs.item_ids == small_world.item_ids
+        assert set(logs.items.tolist()) == set(range(SMALL.n_items))
 
     def test_matrix_round_trip(self, small_world):
-        m = build_interaction_matrix(small_world.logs)
+        m = build_interaction_matrix(small_world.interactions)
         assert m.n_items == SMALL.n_items
 
     def test_deterministic_generation(self):
         a = generate_world(SMALL)
         b = generate_world(SMALL)
-        assert a.logs == b.logs
+        for column in ("users", "items", "counts"):
+            np.testing.assert_array_equal(
+                getattr(a.interactions, column), getattr(b.interactions, column)
+            )
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.item_latents, b.item_latents)
         for wa, wb in zip(a.waveforms, b.waveforms):
@@ -135,7 +140,7 @@ class TestLabels:
 class TestSeparationProperty:
     def test_als_embeddings_align_with_true_latents(self):
         world = generate_world(WorldConfig())
-        m = build_interaction_matrix(world.logs)
+        m = build_interaction_matrix(world.interactions)
         emb = als_fit(m, AlsConfig(seed=11))
         vecs = np.stack([item_vector(emb, i) for i in world.item_ids])
         assert mean_canonical_correlation(vecs, world.item_latents) > 0.8
