@@ -17,7 +17,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import typing
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -50,23 +52,27 @@ ALL_STAGES = ("world", "als", "features", "estimator", "tasks")
 RESULT_COLUMNS = {"task": str, "regime": str, "channels": int, "seed": int, "fold": int,
                   "metric": float, "epochs": int, "seconds": float}
 REQUIRED = object()  # a key with no default
-# Keys and defaults of the top level ("") and of the sections no config class
-# holds.  The task, world, als, features, estimator and regimes[*] sections
-# take the fields of their config class (defaults included), plus the keys
-# listed here.  A None default leaves the setting to the code that uses it.
+# Types and defaults of the keys of the top level ("") and of the sections no
+# config class holds.  The task, world, als, features, estimator and
+# regimes[*] sections take the fields of their config class (annotations and
+# defaults included), plus the keys listed here.  A None default leaves the
+# setting to the code that uses it.
 SETTINGS = {
     "": {
-        "schema_version": REQUIRED, "output_dir": None, "dtype": "float64", "task": REQUIRED,
-        "world": None, "datasets": None, "split": REQUIRED, "als": {}, "features": {},
-        "architecture": REQUIRED, "estimator": REQUIRED, "regimes": REQUIRED,
-        "seeds": REQUIRED, "folds": 1,
+        "schema_version": (int, REQUIRED), "output_dir": (Optional[str], None),
+        "dtype": (str, "float64"), "task": (dict, REQUIRED), "world": (Optional[dict], None),
+        "datasets": (Optional[dict], None), "split": (dict, REQUIRED), "als": (dict, {}),
+        "features": (dict, {}), "architecture": (dict, REQUIRED), "estimator": (dict, REQUIRED),
+        "regimes": (list, REQUIRED), "seeds": (list, REQUIRED), "folds": (int, 1),
     },
-    "task": {"name": None},  # the task kind
-    "datasets": {"logs": REQUIRED, "audio_dir": REQUIRED, "labels": REQUIRED},
-    "split": {"n_estimator_items": REQUIRED, "val_fraction": 0.15, "test_fraction": 0.25},
-    "architecture": {"preset": "cf_estimator_desk", "n_channels": REQUIRED,
-                     "include_fifth_block": None},
-    "estimator": {"val_fraction": 0.2, "normalize_targets": False},
+    "task": {"name": (Optional[str], None)},  # the task kind
+    "datasets": {"logs": (str, REQUIRED), "audio_dir": (str, REQUIRED),
+                 "labels": (str, REQUIRED)},
+    "split": {"n_estimator_items": (int, REQUIRED), "val_fraction": (float, 0.15),
+              "test_fraction": (float, 0.25)},
+    "architecture": {"preset": (str, "cf_estimator_desk"), "n_channels": (int, REQUIRED),
+                     "include_fifth_block": (Optional[bool], None)},
+    "estimator": {"val_fraction": (float, 0.2), "normalize_targets": (bool, False)},
 }
 
 
@@ -86,6 +92,35 @@ def load_manifest(path):
     return manifest
 
 
+def _check_type(label, value, kind):
+    """Raise a ValueError naming ``label`` unless ``value`` is of ``kind``: int,
+    float, bool, str, dict, list or an Optional of one.  An int passes as a
+    float; a bool passes only as a bool."""
+    optional = typing.get_origin(kind) is typing.Union  # Optional[X]
+    if optional:
+        if value is None:
+            return
+        kind = next(k for k in typing.get_args(kind) if k is not type(None))
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ValueError(
+            f"{label} must be {kind.__name__}{' or null' if optional else ''}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+
+
+def _check_types(values, kinds, label):
+    """``_check_type`` on every value whose key ``kinds`` types; ``label``
+    formats a key into the name errors give it."""
+    for key, value in values.items():
+        if key in kinds:
+            _check_type(label.format(key), value, kinds[key])
+
+
+def _defaults(path):
+    return {key: default for key, (_, default) in SETTINGS.get(path, {}).items()}
+
+
 def _section(values, path, cls=None, **fixed):
     """The manifest section at ``path`` over its ``SETTINGS`` defaults or, given
     ``cls``, as ``cls(**values, **fixed)`` less those keys; it may set no ``fixed``
@@ -100,11 +135,13 @@ def _section(values, path, cls=None, **fixed):
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise ValueError(f"unknown manifest key '{prefix}{unknown[0]}'")
-    missing = [k for k, v in own.items() if v is REQUIRED and k not in values]
+    missing = [k for k, (_, v) in own.items() if v is REQUIRED and k not in values]
     if missing:
         raise ValueError(f"manifest is missing '{prefix}{missing[0]}'")
+    kinds = {**(typing.get_type_hints(cls) if cls else {}), **{k: t for k, (t, _) in own.items()}}
+    _check_types(values, kinds, f"manifest key '{prefix}{{}}'")
     if cls is None:
-        return {**own, **values}
+        return {**_defaults(path), **values}
     try:
         return cls(**{k: v for k, v in values.items() if k not in own}, **fixed)
     except (TypeError, ValueError) as exc:
@@ -124,11 +161,14 @@ def validate_manifest(manifest):
         )
     if (top["world"] is None) == (top["datasets"] is None):
         raise ValueError("manifest needs exactly one of 'world' or 'datasets'")
-    if not top["seeds"]:
-        raise ValueError("manifest must list at least one seed")
+    seeds = top["seeds"]
+    for i, seed in enumerate(seeds):
+        _check_type(f"manifest key 'seeds[{i}]'", seed, int)
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"manifest seeds must be a non-empty list of distinct ints, got {seeds}")
     if not top["regimes"]:
         raise ValueError("manifest must list at least one regime")
-    if not (isinstance(top["folds"], int) and top["folds"] >= 1):
+    if top["folds"] < 1:
         raise ValueError(f"manifest folds must be a positive int, got {top['folds']!r}")
     task = _section(top["task"], "task", TaskSpec)
     world = None if top["world"] is None else _section(top["world"], "world", WorldConfig)
@@ -149,7 +189,7 @@ def validate_manifest(manifest):
         raise ValueError(f"manifest architecture: {exc}") from None
     dtype = top["dtype"]
     train = _section(top["estimator"], "estimator", TrainConfig, dtype=dtype)
-    estimator = {**SETTINGS["estimator"], **top["estimator"]}
+    estimator = {**_defaults("estimator"), **top["estimator"]}
     return {
         "task": task, "task_name": top["task"].get("name") or task.kind,
         "world": world, "datasets": None if world else _section(top["datasets"], "datasets"),
@@ -169,10 +209,12 @@ def validate_manifest(manifest):
 
 
 def make_config(cls, values, section):
-    """``cls(**values)``, rejecting keys that are not fields of ``cls``."""
+    """``cls(**values)``, rejecting keys that are not fields of ``cls`` and
+    values that do not match the field's annotation."""
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
+    _check_types(values, typing.get_type_hints(cls), f"{section} key '{{}}'")
     return cls(**values)
 
 
@@ -194,7 +236,7 @@ def write_world(world: World, out_dir):
             if world.config.task_kind == "classification":
                 fh.write(f"{item_id},{int(label)}\n")
             else:
-                fh.write(f"{item_id},{float(label):.10g}\n")
+                fh.write(f"{item_id},{float(label)!r}\n")
     fileio.save_float_table(
         out_dir / "latents.ftab", world.item_ids, world.item_latents, meta={"kind": "true_latents"}
     )

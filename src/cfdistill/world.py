@@ -11,7 +11,11 @@ compete over.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -85,36 +89,72 @@ def interaction_probability(user_latent, item_latent, scale, offset):
     return sigmoid(scale * np.dot(user_latent, item_latent) + offset)
 
 
-def _band_edges(config: WorldConfig):
-    return np.linspace(config.band_low, config.band_high, config.latent_dim + 1)
+@functools.lru_cache(maxsize=8)
+def _synthesis_plan(n, sample_rate, band_low, band_high, latent_dim):
+    """Sample times, each band's tone frequency in rad/s and a
+    (latent_dim, n_bins) mask of each band's stop bins, for one world shape.
 
-
-def _bandlimited_noise(rng, n, f_lo, f_hi, sample_rate):
-    """Unit-RMS noise whose spectrum lives in [f_lo, f_hi)."""
-    spectrum = np.fft.rfft(rng.standard_normal(n))
+    Built once per shape and read-only, so every item and every worker
+    thread shares it.
+    """
+    edges = np.linspace(band_low, band_high, latent_dim + 1)
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    spectrum[(freqs < f_lo) | (freqs >= f_hi)] = 0.0
-    y = np.fft.irfft(spectrum, n)
-    rms = np.sqrt(np.mean(y**2))
-    return y / rms
+    t = np.arange(n) / sample_rate
+    omegas = 2.0 * np.pi * (0.5 * (edges[:-1] + edges[1:]))
+    stop = (freqs < edges[:-1, None]) | (freqs >= edges[1:, None])
+    for array in (t, omegas, stop):
+        array.flags.writeable = False
+    return t, omegas, stop
 
 
 def item_waveform(config: WorldConfig, latent, item_index):
-    """Deterministic waveform for one item given its latent."""
+    """Deterministic waveform for one item given its latent.
+
+    Each band is unit-RMS noise limited to the band, plus a tone at the
+    band's centre, both scaled by the square root of the band's energy; the
+    item's generator draws each band's noise then its tone phase, and last
+    the broadband noise.  All bands share one batched ``rfft``/``irfft``.
+    """
     rng = np.random.default_rng([config.seed, 3, item_index])
-    n = config.n_samples
-    edges = _band_edges(config)
-    energies = band_energies(latent)
-    t = np.arange(n) / config.sample_rate
+    n, d = config.n_samples, config.latent_dim
+    t, omegas, stop = _synthesis_plan(
+        n, config.sample_rate, config.band_low, config.band_high, d
+    )
+    bands = np.empty((d, n))
+    phases = np.empty(d)
+    for j in range(d):
+        rng.standard_normal(out=bands[j])
+        phases[j] = rng.uniform(0.0, 2.0 * np.pi)
+    spectrum = np.fft.rfft(bands)
+    spectrum[stop] = 0.0
+    bands = np.fft.irfft(spectrum, n)
+    amps = np.sqrt(band_energies(latent))
     wave = np.zeros(n)
-    for j in range(config.latent_dim):
-        amp = np.sqrt(energies[j])
-        wave += amp * _bandlimited_noise(rng, n, edges[j], edges[j + 1], config.sample_rate)
-        center = 0.5 * (edges[j] + edges[j + 1])
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        wave += config.tone_level * amp * np.sqrt(2.0) * np.sin(2.0 * np.pi * center * t + phase)
+    tone = np.empty(n)
+    for j, band in enumerate(bands):
+        band /= np.sqrt(np.mean(band**2))
+        band *= amps[j]
+        wave += band
+        np.multiply(omegas[j], t, out=tone)
+        tone += phases[j]
+        np.sin(tone, out=tone)
+        tone *= config.tone_level * amps[j] * np.sqrt(2.0)
+        wave += tone
     wave += config.noise_level * rng.standard_normal(n)
-    return Waveform(AMPLITUDE * wave, config.sample_rate)
+    wave *= AMPLITUDE
+    return Waveform(wave, config.sample_rate)
+
+
+def _waveforms(config: WorldConfig, item_latents, workers):
+    """Every item's waveform, in item order, synthesized on ``workers`` threads.
+
+    Each item has its own generator, so the bytes do not depend on the
+    worker count, and numpy releases the GIL in the draws, FFTs and ``sin``.
+    Workers call nothing the benchmark's tracer wraps: its span stack is
+    process-wide, so spans opened from two threads would get wrong parents.
+    """
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(item_waveform, repeat(config), item_latents, range(config.n_items)))
 
 
 def _make_labels(config: WorldConfig, item_latents, rng):
@@ -168,9 +208,9 @@ def generate_world(config: WorldConfig) -> World:
     item_ids = [f"item_{i:05d}" for i in range(config.n_items)]
     user_ids = [f"user_{u:05d}" for u in range(config.n_users)]
 
-    waveforms = [
-        item_waveform(config, item_latents[i], i) for i in range(config.n_items)
-    ]
+    waveforms = _waveforms(
+        config, item_latents, min(config.n_items, len(os.sched_getaffinity(0)))
+    )
     return World(
         config=config,
         interactions=Interactions(user_ids, item_ids, users, items, counts),

@@ -11,7 +11,7 @@ import pytest
 import cfdistill
 from cfdistill.als import load_embedding, item_vector
 from cfdistill.cli import main
-from cfdistill.experiment import load_manifest, write_results_csv
+from cfdistill.experiment import load_manifest, validate_manifest, write_results_csv
 from cfdistill.fileio import load_float_table, write_raw_float32, write_wav
 from cfdistill.transfer import ExperimentResult
 
@@ -54,6 +54,30 @@ BAD_VALUES = [
     ("regimes[1].patience", 0, "manifest regimes[1]: patience must be >= 1"),
 ]
 
+# (key path, value, part of the error) for values of the wrong JSON type
+BAD_TYPES = [
+    ("als.n_factors", 4.5, "manifest key 'als.n_factors' must be int, got float 4.5"),
+    ("seeds", 7, "manifest key 'seeds' must be list, got int 7"),
+    ("estimator.normalize_targets", "no",
+     "manifest key 'estimator.normalize_targets' must be bool, got str 'no'"),
+    ("estimator.epochs", "5", "manifest key 'estimator.epochs' must be int, got str '5'"),
+    ("features.n_mels", "96", "manifest key 'features.n_mels' must be int, got str '96'"),
+    ("regimes[0].kd_weight", "1", "manifest key 'regimes[0].kd_weight' must be float, got str"),
+    ("regimes[0].epochs", True, "manifest key 'regimes[0].epochs' must be int, got bool True"),
+    ("estimator.patience", 2.5, "manifest key 'estimator.patience' must be int or null"),
+    ("world.task_kind", 1, "manifest key 'world.task_kind' must be str, got int 1"),
+    ("architecture.n_channels", "8", "manifest key 'architecture.n_channels' must be int"),
+    ("split.val_fraction", "0.1", "manifest key 'split.val_fraction' must be float"),
+    ("task.name", 3, "manifest key 'task.name' must be str or null, got int 3"),
+    ("datasets.logs", 3, "manifest key 'datasets.logs' must be str, got int 3"),
+    ("schema_version", True, "manifest key 'schema_version' must be int, got bool True"),
+    ("folds", 1.0, "manifest key 'folds' must be int, got float 1.0"),
+    ("regimes", {"regime": "base"}, "manifest key 'regimes' must be list, got dict"),
+    ("seeds", [], "manifest seeds must be a non-empty list of distinct ints, got []"),
+    ("seeds", [0, 0], "manifest seeds must be a non-empty list of distinct ints, got [0, 0]"),
+    ("seeds", [0, "1"], "manifest key 'seeds[1]' must be int, got str '1'"),
+]
+
 
 def assert_rejected_before_any_stage(tmp_path, capsys, manifest):
     """``run`` exits 1 with one error line and creates no output directory;
@@ -84,6 +108,15 @@ class TestGenerateWorld:
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
         assert "'n_itemz'" in err
+
+    def test_wrong_world_value_type_is_single_line_error(self, tmp_path, capsys):
+        config = tmp_path / "world.json"
+        config.write_text(json.dumps({"n_users": 10, "n_items": "12"}))
+        assert main(["generate-world", str(config), str(tmp_path / "world")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "world key 'n_items' must be int, got str '12'" in err
+        assert not (tmp_path / "world").exists()
 
     def test_seed_override(self, tmp_path):
         config = tmp_path / "world.json"
@@ -250,6 +283,24 @@ class TestManifestCommands:
         err = assert_rejected_before_any_stage(tmp_path, capsys, manifest)
         assert "manifest architecture: se_block ratio 8 does not divide 4 channels" in err
 
+    @pytest.mark.parametrize(
+        "path, value, message", BAD_TYPES,
+        ids=[f"{path}={json.dumps(value)}" for path, value, _ in BAD_TYPES],
+    )
+    def test_wrong_value_type_is_single_line_error(self, tmp_path, capsys, path, value, message):
+        err = assert_rejected_before_any_stage(tmp_path, capsys, manifest_with(path, value))
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("regimes[0].kd_weight", 1), ("split.val_fraction", 0), ("estimator.patience", None),
+         ("architecture.include_fifth_block", None), ("world.band_low", 400)],
+    )
+    def test_int_as_float_and_null_as_optional_accepted(self, path, value):
+        parsed = validate_manifest(manifest_with(path, value))
+        if path == "regimes[0].kd_weight":
+            assert parsed["regimes"][0].kd_weight == 1.0
+
     @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
     def test_shipped_manifests_validate(self, name):
         load_manifest(Path(__file__).resolve().parent.parent / "configs" / name)
@@ -287,7 +338,8 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_console_script_entry_point(self, tmp_path):
+    @staticmethod
+    def _evaluate_in_child(tmp_path, module):
         rows = [("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.5, 3, 0.0)),
                 ("genre", ExperimentResult("base", 8, 1, 0, "accuracy", 0.6, 3, 0.0))]
         path = tmp_path / "results.csv"
@@ -295,8 +347,14 @@ class TestUsage:
         # run from the directory holding the package under test, so the
         # child imports the same source tree even when it is not installed
         proc = subprocess.run(
-            [sys.executable, "-m", "cfdistill.cli", "evaluate", str(path)],
+            [sys.executable, "-m", module, "evaluate", str(path)],
             capture_output=True, text=True, cwd=Path(cfdistill.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert "mean base" in proc.stdout
+
+    def test_console_script_entry_point(self, tmp_path):
+        self._evaluate_in_child(tmp_path, "cfdistill.cli")
+
+    def test_python_m_package_entry_point(self, tmp_path):
+        self._evaluate_in_child(tmp_path, "cfdistill")
