@@ -41,6 +41,7 @@ from .transfer import (
     TaskData,
     TaskSpec,
     TrainConfig,
+    predict_network,
     train_cf_estimator,
     train_task,
 )
@@ -188,6 +189,8 @@ def validate_manifest(manifest):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"manifest architecture: {exc}") from None
     dtype = top["dtype"]
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"manifest key 'dtype' must be 'float32' or 'float64', got {dtype!r}")
     train = _section(top["estimator"], "estimator", TrainConfig, dtype=dtype)
     estimator = {**_defaults("estimator"), **top["estimator"]}
     return {
@@ -320,7 +323,7 @@ def _stage_als(ctx):
 
 def _stage_features(ctx):
     grids = write_features(
-        ctx["item_ids"], ctx["waveforms"], ctx["features"], ctx["out_dir"] / "features"
+        ctx["item_ids"], ctx.pop("waveforms"), ctx["features"], ctx["out_dir"] / "features"
     )
     shapes = {g.shape for g in grids.values()}
     if len(shapes) != 1:
@@ -418,6 +421,9 @@ def _stage_tasks(ctx):
     task_ids = ctx["item_ids"][n_est:]
     labels = ctx["labels"][n_est:]
     features = _features_array(ctx, task_ids)
+    # The estimator's outputs over the task items, computed once for every fix and kd cell.
+    uses_teacher = any(r.regime in ("fix", "kd") for r in ctx["regimes"])
+    teacher = predict_network(estimator, features) if uses_teacher else None
     split, task_name, n_channels = ctx["split"], ctx["task_name"], ctx["n_channels"]
     out_dir = ctx["out_dir"]
 
@@ -454,8 +460,9 @@ def _stage_tasks(ctx):
                     input_shape,
                     n_channels,
                     regime,
-                    cf_estimator=None if regime.regime == "base" else estimator,
+                    cf_estimator=estimator,
                     fold=fold,
+                    teacher=teacher,
                 )
                 result.seconds = 0.0 if ctx["deterministic"] else time.perf_counter() - start
                 cell = f"{task_name}_{regime.regime}_F{n_channels}_s{seed}_f{fold}"

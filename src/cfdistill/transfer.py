@@ -1,10 +1,11 @@
 """Estimator training and the four task-transfer regimes.
 
 The estimator maps mel grids to 40-d item embeddings under an MSE +
-cosine-proximity loss.  Task models reuse its schedule as backbone plus
-penultimate layer and add a task head; the regimes differ in where the
-backbone weights come from and whether a distillation term pulls the
-penultimate activation toward the (frozen) estimator's output:
+cosine-proximity loss.  A task network is the estimator's schedule (the
+backbone, whose last layer gives the penultimate activation) with a
+``fully_connected`` task head as its last layer; the regimes differ in
+where the backbone weights come from and whether a distillation term pulls
+the penultimate activation toward the (frozen) estimator's output:
 
 * base — random init, task loss only;
 * fix  — backbone copied from the estimator and frozen, head trained;
@@ -23,7 +24,7 @@ from .evaluation import accuracy, r_squared
 from .nn.adam import AdamConfig, AdamState, adam_step
 from .nn.layers import FullyConnected
 from .nn.losses import cosine_proximity_loss, mse_loss, softmax_cross_entropy
-from .nn.network import NetworkModel, batch_bounds, build_network
+from .nn.network import LayerSpec, NetworkModel, batch_bounds, build_network
 
 REGIMES = ("base", "fix", "init", "kd")
 
@@ -89,7 +90,7 @@ class TaskSpec:
         self.metric = self.metric or ("accuracy" if self.kind == "classification" else "r_squared")
         if self.kind == "classification":
             if not self.n_classes or self.n_classes < 2:
-                raise ValueError("classification needs >= 2 classes")
+                raise ValueError("classification needs n_classes >= 2")
             if self.metric != "accuracy":
                 raise ValueError("classification tasks use the accuracy metric")
         elif self.kind == "regression":
@@ -139,10 +140,14 @@ class ExperimentResult:
 
 @dataclass
 class TaskModel:
-    """Estimator-shaped network (penultimate output) plus a task head."""
+    """The task network: the estimator's schedule, then the task head as its
+    last layer (what a task checkpoint holds)."""
 
     network: NetworkModel
-    head: FullyConnected
+
+    @property
+    def head(self) -> FullyConnected:
+        return self.network.layers[-1]
 
 
 def distillation_loss(penultimate, estimated_cf):
@@ -281,13 +286,17 @@ def train_task(
     regime: RegimeConfig,
     cf_estimator: Optional[NetworkModel] = None,
     fold: int = 0,
+    teacher=None,
 ):
     """Train one task model under one regime; returns (TaskModel, result).
 
-    fix, init and kd require a trained estimator whose schedule matches
-    the task backbone exactly; base ignores the estimator.  Model
-    selection keeps the epoch with the least task-specific validation
-    loss (the kd term never enters selection).
+    The task network is the estimator's schedule plus a ``fully_connected``
+    head as its last layer.  fix, init and kd require a trained estimator
+    whose schedule matches the backbone exactly; base ignores it.  fix
+    trains its head on, and kd distils toward, ``teacher``: the estimator's
+    outputs over ``data.features``, computed here when not given.  Model
+    selection keeps the epoch with the least task-specific validation loss
+    (the kd term never enters selection).
     """
     if regime.regime != "base":
         if cf_estimator is None:
@@ -296,87 +305,67 @@ def train_task(
             raise ValueError("backbone schedule mismatch between estimator and task model")
 
     dtype = np.dtype(regime.dtype)
-    network = build_network(specs, input_shape, seed=regime.seed, dtype=dtype)
-    penult_dim = network.output_shape[0]
-    head_rng = np.random.default_rng([regime.seed, 2])
-    head = FullyConnected(penult_dim, task.output_dim, head_rng, dtype=dtype)
-
+    backbone = build_network(specs, input_shape, seed=regime.seed, dtype=dtype)
     if regime.regime in ("fix", "init"):
-        network.set_state(cf_estimator.get_state())
+        backbone.set_state(cf_estimator.get_state())
+    head_rng = np.random.default_rng([regime.seed, 2])
+    head = FullyConnected(backbone.output_shape[0], task.output_dim, head_rng, dtype=dtype)
+    network = NetworkModel(
+        [*specs, LayerSpec("fully_connected", width=task.output_dim)], input_shape,
+        [*backbone.layers, head], [*backbone.shapes, (task.output_dim,)], dtype=dtype,
+    )
 
     features = np.asarray(data.features, dtype=dtype)
-    adam = AdamConfig(learning_rate=regime.learning_rate)
+    if regime.regime in ("fix", "kd") and teacher is None:
+        teacher = predict_network(cf_estimator, features)
+    fix = regime.regime == "fix"
+    # fix keeps the estimator's backbone frozen: its penultimate features
+    # are the teacher's outputs, and only the head is optimized.
+    params = head.params if fix else network.named_params()
+    optimizer = AdamState(params, AdamConfig(learning_rate=regime.learning_rate))
 
-    if regime.regime == "fix":
-        # The backbone is frozen, so penultimate features are computed
-        # once and only the head is optimized.
-        feats = predict_network(network, features)
-        optimizer = AdamState(head.params, adam)
+    def step(batch):
+        if fix:
+            penult = teacher[batch]
+        else:
+            penult, caches = backbone.forward(features[batch], train=True)
+        out, head_cache = head.forward(penult)
+        task_val, dout = _task_loss(task, out, data.targets[batch])
+        dpenult, grads = head.backward(dout, head_cache)
+        kd_val = 0.0
+        if regime.regime == "kd":
+            kd_val, kd_grad = distillation_loss(penult, teacher[batch])
+            if regime.kd_weight != 0.0:
+                dpenult = dpenult + regime.kd_weight * kd_grad
+        if not fix:
+            _, net_grads = backbone.backward(caches, dpenult)
+            grads = network.named_grads([*net_grads, grads])
+        adam_step(optimizer, params, grads)
+        return {
+            "train_total": task_val + regime.kd_weight * kd_val,
+            "train_task": task_val,
+            "train_kd": kd_val,
+        }
 
-        def penultimate(idx):
-            return feats[idx]
-
-        def step(batch):
-            out, cache = head.forward(feats[batch])
-            loss, dout = _task_loss(task, out, data.targets[batch])
-            _, grads = head.backward(dout, cache)
-            adam_step(optimizer, head.params, grads)
-            return {"train_total": loss, "train_task": loss, "train_kd": 0.0}
-
-    else:
-        teacher = predict_network(cf_estimator, features) if regime.regime == "kd" else None
-        all_params = {f"net.{k}": v for k, v in network.named_params().items()}
-        all_params.update({f"head.{k}": v for k, v in head.params.items()})
-        optimizer = AdamState(all_params, adam)
-
-        def penultimate(idx):
-            return predict_network(network, features[idx])
-
-        def step(batch):
-            penult, caches = network.forward(features[batch], train=True)
-            out, head_cache = head.forward(penult)
-            task_val, dout = _task_loss(task, out, data.targets[batch])
-            dpenult, head_grads = head.backward(dout, head_cache)
-            kd_val = 0.0
-            if teacher is not None:
-                kd_val, kd_grad = distillation_loss(penult, teacher[batch])
-                if regime.kd_weight != 0.0:
-                    dpenult = dpenult + regime.kd_weight * kd_grad
-            _, net_grads = network.backward(caches, dpenult)
-            grads = {f"net.{k}": v for k, v in network.named_grads(net_grads).items()}
-            grads.update({f"head.{k}": v for k, v in head_grads.items()})
-            adam_step(optimizer, all_params, grads)
-            return {
-                "train_total": task_val + regime.kd_weight * kd_val,
-                "train_task": task_val,
-                "train_kd": kd_val,
-            }
+    def outputs(idx):
+        penult = teacher[idx] if fix else predict_network(backbone, features[idx])
+        return head.forward(penult)[0]
 
     def val_loss():
-        out = head.forward(penultimate(data.val_idx))[0]
-        return _task_loss(task, out, data.targets[data.val_idx])[0]
-
-    def get_state():
-        return network.get_state(), {k: v.copy() for k, v in head.params.items()}
-
-    def set_state(state):
-        network.set_state(state[0])
-        for k, v in state[1].items():
-            head.params[k][...] = v
+        return _task_loss(task, outputs(data.val_idx), data.targets[data.val_idx])[0]
 
     curve, _, epochs_run = _fit(
-        step, val_loss, get_state, set_state,
+        step, val_loss, network.get_state, network.set_state,
         regime.epochs, regime.patience, data.train_idx, regime.batch_size, regime.seed,
     )
-    test_out = head.forward(penultimate(data.test_idx))[0]
     result = ExperimentResult(
         regime=regime.regime,
         n_channels=n_channels,
         seed=regime.seed,
         fold=fold,
         metric_name=task.metric,
-        metric_value=_metric_value(task, test_out, data.targets[data.test_idx]),
+        metric_value=_metric_value(task, outputs(data.test_idx), data.targets[data.test_idx]),
         epochs_run=epochs_run,
         curve=curve,
     )
-    return TaskModel(network=network, head=head), result
+    return TaskModel(network), result

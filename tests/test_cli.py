@@ -54,8 +54,11 @@ BAD_VALUES = [
     ("regimes[1].patience", 0, "manifest regimes[1]: patience must be >= 1"),
 ]
 
-# (key path, value, part of the error) for values of the wrong JSON type
+# (key path, value, part of the error) for values of the wrong JSON type, or
+# a string outside the values its key takes
 BAD_TYPES = [
+    ("dtype", "banana", "manifest key 'dtype' must be 'float32' or 'float64', got 'banana'"),
+    ("dtype", "int64", "manifest key 'dtype' must be 'float32' or 'float64', got 'int64'"),
     ("als.n_factors", 4.5, "manifest key 'als.n_factors' must be int, got float 4.5"),
     ("seeds", 7, "manifest key 'seeds' must be list, got int 7"),
     ("estimator.normalize_targets", "no",

@@ -1,7 +1,9 @@
 """Orchestration: stages, artifacts, failure policy, results files."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import cfdistill
+from cfdistill import experiment, transfer
 from cfdistill.als import load_embedding
 from cfdistill.experiment import (
     StageError,
@@ -19,15 +22,28 @@ from cfdistill.experiment import (
     validate_manifest,
     write_results_csv,
 )
+from cfdistill.evaluation import r_squared
 from cfdistill.features import FeatureConfig
 from cfdistill.fileio import load_float_table, write_raw_float32
-from cfdistill.nn.network import cf_estimator_desk
-from cfdistill.transfer import ExperimentResult, TaskSpec, TrainConfig
+from cfdistill.nn.network import cf_estimator_desk, load_checkpoint
+from cfdistill.transfer import ExperimentResult, TaskSpec, TrainConfig, predict_network
 from cfdistill.world import WorldConfig
 
 from conftest import make_tiny_manifest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def four_regime_manifest():
+    """configs/tiny.json with all four regimes, two seeds and 4 epochs everywhere."""
+    manifest = json.loads((CONFIGS / "tiny.json").read_text(encoding="utf-8"))
+    manifest["estimator"]["epochs"] = 4
+    manifest["regimes"] = [
+        {"regime": regime, "epochs": 4, "batch_size": 8, "learning_rate": 0.001}
+        for regime in ("base", "fix", "init", "kd")
+    ]
+    manifest["seeds"] = [0, 1]
+    return manifest
 
 
 class TestRunExperiment:
@@ -111,6 +127,57 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="world.task_kind 'regression' != task.kind"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
         assert not (tmp_path / "out").exists()
+
+
+class TestTaskCells:
+    def test_reloaded_checkpoint_reproduces_its_cell(self, tmp_path):
+        """A task checkpoint is the whole task network: its test-split outputs
+        give the metric results.csv reports for its cell."""
+        manifest = four_regime_manifest()
+        manifest["task"] = {"kind": "regression", "name": "tinyreg"}
+        manifest["world"]["task_kind"] = "regression"
+        manifest["seeds"] = [0]
+        out = tmp_path / "out"
+        run_experiment(manifest, out, deterministic=True)
+        folds = json.loads((out / "folds.json").read_text())
+        items = folds["task_items"]
+        features = np.stack(
+            [load_float_table(out / "features" / f"{i}.ftab")[1][:, :, None] for i in items]
+        )
+        lines = (out / "world" / "labels.csv").read_text().splitlines()[1:]
+        labels = dict(line.split(",") for line in lines)
+        targets = np.array([float(labels[i]) for i in items])
+        rows = read_results_csv(out / "results.csv")
+        assert sorted(r["regime"] for r in rows) == ["base", "fix", "init", "kd"]
+        for row in rows:
+            cell = f"tinyreg_{row['regime']}_F8_s{row['seed']}_f{row['fold']}"
+            split = next(
+                c for c in folds["cells"] if (c["seed"], c["fold"]) == (row["seed"], row["fold"])
+            )
+            model = load_checkpoint(out / "checkpoints" / f"task_{cell}.npz")
+            assert model.output_shape == (1,)
+            test = np.asarray(split["test"])
+            metric = r_squared(predict_network(model, features[test])[:, 0], targets[test])
+            assert f"{metric:.6f}" == f"{row['metric']:.6f}", cell
+
+    def test_estimator_forward_over_task_items_runs_once(self, tmp_path, monkeypatch):
+        """fix and kd cells share one estimator forward over the task items."""
+        manifest = four_regime_manifest()
+        n_task_items = manifest["world"]["n_items"] - manifest["split"]["n_estimator_items"]
+        real_predict, states = transfer.predict_network, []
+
+        def predict(model, x, *args, **kwargs):
+            if len(x) == n_task_items:
+                states.append(model.get_state())
+            return real_predict(model, x, *args, **kwargs)
+
+        for module in (experiment, transfer):
+            monkeypatch.setattr(module, "predict_network", predict)
+        out = tmp_path / "out"
+        assert len(run_experiment(manifest, out, deterministic=True)) == 8
+        estimator = load_checkpoint(out / "checkpoints" / "cf_estimator.npz").get_state()
+        forwards = [s for s in states if all(np.array_equal(s[k], v) for k, v in estimator.items())]
+        assert len(forwards) == 1
 
 
 class TestDatasetMode:
@@ -223,6 +290,93 @@ class TestManifestValidation:
             validate_manifest(tiny_manifest)
 
 
+# A value of another JSON type for each type a shipped manifest holds.
+WRONG_TYPE = {str: 3, int: "3", float: "0.5", bool: "yes", dict: [], list: {}}
+
+
+def key_paths(node, prefix=()):
+    """Every dict key under ``node``, depth first, as a tuple of keys and list indices."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*prefix, key)
+            yield from key_paths(value, (*prefix, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from key_paths(value, (*prefix, i))
+
+
+def path_name(path):
+    """A key path as errors give it, such as 'regimes[1].kd_weight'."""
+    return "".join(
+        f"[{p}]" if isinstance(p, int) else f".{p}" if i else p for i, p in enumerate(path)
+    )
+
+
+def misspell(key, rng, taken):
+    """``key`` with one character dropped, doubled or swapped with the next,
+    differing from every key in ``taken``."""
+    while True:
+        i = rng.randrange(len(key) - 1)
+        new = rng.choice([
+            key[:i] + key[i + 1:], key[:i] + key[i] + key[i:], key[:i] + key[i + 1] + key[i] + key[i + 2:],
+        ])
+        if new not in taken:
+            return new
+
+
+def mutations(manifest, seed):
+    """(kind, manifest copy, path of the mutated key) for deleting, misspelling
+    and mistyping each key of ``manifest``."""
+    rng = random.Random(seed)
+    for path in list(key_paths(manifest)):
+        for kind in ("delete", "misspell", "wrong_type"):
+            mutated = copy.deepcopy(manifest)
+            section = mutated
+            for part in path[:-1]:
+                section = section[part]
+            key, named = path[-1], path
+            if kind == "delete":
+                del section[key]
+            elif kind == "misspell":
+                new = misspell(key, rng, section)
+                section[new] = section.pop(key)
+                named = (*path[:-1], new)
+            else:
+                section[key] = WRONG_TYPE[type(section[key])]
+            yield kind, mutated, named
+
+
+class TestManifestMutationSweep:
+    @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
+    def test_every_key_deleted_misspelt_or_mistyped(self, name):
+        """Each mutation parses (a deleted key with a default) or raises a
+        ValueError that names the key: its path in quotes, or its section and
+        its own name for a value the section's config class rejects."""
+        manifest = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+        failures, count = [], 0
+        for kind, mutated, path in mutations(manifest, seed=8):
+            count += 1
+            label = path_name(path)
+            section = path_name(path[:-1])
+            try:
+                validate_manifest(mutated)
+            except ValueError as exc:
+                message = str(exc)
+                if f"'{label}'" in message or (
+                    section and message.startswith(f"manifest {section}: ")
+                    and str(path[-1]) in message
+                ):
+                    continue
+                failures.append(f"{kind} {label}: {message}")
+            except Exception as exc:  # noqa: BLE001 - any other exception is a failure
+                failures.append(f"{kind} {label}: {type(exc).__name__}: {exc}")
+            else:
+                if kind != "delete":
+                    failures.append(f"{kind} {label}: parsed")
+        assert count >= 3 * 20
+        assert not failures, "\n".join(failures)
+
+
 class TestResultsSummary:
     def _fixture_rows(self, tmp_path):
         results = [
@@ -267,13 +421,7 @@ class TestBlasThreadInvariance:
         One child pins OpenBLAS/OpenMP to one thread through its own
         environment; the other inherits this process's environment.
         """
-        manifest = json.loads((CONFIGS / "tiny.json").read_text(encoding="utf-8"))
-        manifest["estimator"]["epochs"] = 4
-        manifest["regimes"] = [
-            {"regime": regime, "epochs": 4, "batch_size": 8, "learning_rate": 0.001}
-            for regime in ("base", "fix", "init", "kd")
-        ]
-        manifest["seeds"] = [0, 1]
+        manifest = four_regime_manifest()
         path = tmp_path / "four.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
         src = str(Path(cfdistill.__file__).resolve().parents[1])

@@ -211,6 +211,37 @@ class TestRegimeContracts:
         for key, value in before.items():
             np.testing.assert_array_equal(estimator.get_state()[key], value, err_msg=key)
 
+    @pytest.mark.parametrize("regime", ["fix", "kd"])
+    def test_given_teacher_trains_as_the_computed_one(self, regime):
+        rng = np.random.default_rng(16)
+        data = tiny_task_data(rng)
+        task = TaskSpec(kind="classification", n_classes=2)
+        estimator = make_estimator(seed=7)
+        config = RegimeConfig(regime=regime, epochs=3, batch_size=8, seed=8)
+        teacher = predict_network(estimator, data.features)
+        runs = [
+            train_task(task, data, TINY_SPECS, TINY_SHAPE, 2, config,
+                       cf_estimator=estimator, teacher=given)
+            for given in (None, teacher)
+        ]
+        (model_a, result_a), (model_b, result_b) = runs
+        for key, value in model_a.network.get_state().items():
+            np.testing.assert_array_equal(model_b.network.get_state()[key], value, err_msg=key)
+        assert result_a.curve == result_b.curve
+        assert result_a.metric_value == result_b.metric_value
+
+    def test_head_is_the_task_networks_last_layer(self):
+        rng = np.random.default_rng(17)
+        data = tiny_task_data(rng, n_classes=3)
+        model, _ = train_task(
+            TaskSpec(kind="classification", n_classes=3), data, TINY_SPECS, TINY_SHAPE, 2,
+            RegimeConfig(regime="base", epochs=1, batch_size=8, seed=9),
+        )
+        assert model.head is model.network.layers[-1]
+        assert model.network.specs == [*TINY_SPECS, LayerSpec("fully_connected", width=3)]
+        assert model.network.output_shape == (3,)
+        assert predict_network(model.network, data.features).shape == (24, 3)
+
     def test_transfer_regimes_require_estimator(self):
         rng = np.random.default_rng(11)
         data = tiny_task_data(rng)
@@ -283,11 +314,14 @@ class TestEarlyStopping:
         best_epoch = int(np.argmin([row["val_loss"] for row in result.curve]))
         assert result.epochs_run < epochs
         assert result.epochs_run == best_epoch + patience + 1
-        net_state, head_params = snapshots[best_epoch]
-        for key, value in model.network.get_state().items():
-            np.testing.assert_array_equal(value, net_state[key], err_msg=key)
-        for key, value in model.head.params.items():
-            np.testing.assert_array_equal(value, head_params[key], err_msg=key)
+        best_state = snapshots[best_epoch]
+        state = model.network.get_state()
+        # The whole task network, head included: every parameter and buffer.
+        assert sorted(state) == sorted(best_state)
+        head_index = len(model.network.layers) - 1
+        assert {f"{head_index}.w", f"{head_index}.b"} <= set(state)
+        for key, value in state.items():
+            np.testing.assert_array_equal(value, best_state[key], err_msg=key)
 
 
 class TestRegressionTask:
