@@ -122,12 +122,14 @@ def _defaults(path):
     return {key: default for key, (_, default) in SETTINGS.get(path, {}).items()}
 
 
-def _section(values, path, cls=None, **fixed):
+def _section(values, path, cls=None, required=(), **fixed):
     """The manifest section at ``path`` over its ``SETTINGS`` defaults or, given
     ``cls``, as ``cls(**values, **fixed)`` less those keys; it may set no ``fixed``
-    field.  Errors are ValueErrors that name the key path."""
+    field, and must set every other field of ``cls`` that has no default, and
+    the keys in ``required``.  Errors are ValueErrors that name the key path."""
     own = SETTINGS.get(path, {})
-    allowed = set(own) | ({f.name for f in dataclasses.fields(cls)} - set(fixed) if cls else set())
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed] if cls else []
+    allowed = set(own) | {f.name for f in fields}
     if not isinstance(values, dict):
         raise ValueError(
             f"manifest {path or 'file'} must be a JSON object, got {type(values).__name__}"
@@ -136,7 +138,11 @@ def _section(values, path, cls=None, **fixed):
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise ValueError(f"unknown manifest key '{prefix}{unknown[0]}'")
-    missing = [k for k, (_, v) in own.items() if v is REQUIRED and k not in values]
+    needed = [k for k, (_, v) in own.items() if v is REQUIRED] + [
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ] + list(required)
+    missing = [k for k in needed if k not in values]
     if missing:
         raise ValueError(f"manifest is missing '{prefix}{missing[0]}'")
     kinds = {**(typing.get_type_hints(cls) if cls else {}), **{k: t for k, (t, _) in own.items()}}
@@ -171,7 +177,8 @@ def validate_manifest(manifest):
         raise ValueError("manifest must list at least one regime")
     if top["folds"] < 1:
         raise ValueError(f"manifest folds must be a positive int, got {top['folds']!r}")
-    task = _section(top["task"], "task", TaskSpec)
+    classes = isinstance(top["task"], dict) and top["task"].get("kind") == "classification"
+    task = _section(top["task"], "task", TaskSpec, required=("n_classes",) if classes else ())
     world = None if top["world"] is None else _section(top["world"], "world", WorldConfig)
     if world is not None and world.task_kind != task.kind:
         raise ValueError(
@@ -221,18 +228,31 @@ def make_config(cls, values, section):
     return cls(**values)
 
 
-def write_world(world: World, out_dir):
-    """Persist a generated world: logs, audio, labels, true latents."""
+# Rows of logs.tsv formatted per write; bounds the Python objects alive at once.
+LOG_BLOCK = 65536
+
+
+def write_audio(audio_dir, item_id, wave: Waveform):
+    """Write one item's waveform as ``<audio_dir>/<item_id>.f32`` plus its sidecar."""
+    fileio.write_raw_float32(Path(audio_dir) / f"{item_id}.f32", wave.samples, wave.sample_rate)
+
+
+def write_world(world: World, out_dir, audio=True):
+    """Persist a generated world: logs, labels, true latents and (unless
+    ``audio`` is false) each item's audio, one waveform at a time."""
     out_dir = Path(out_dir)
-    (out_dir / "audio").mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     logs = world.interactions
     with open(out_dir / "logs.tsv", "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f"{logs.user_ids[u]}\t{logs.item_ids[i]}\t{c}\n"
-            for u, i, c in zip(logs.users.tolist(), logs.items.tolist(), logs.counts.tolist())
-        )
-    for item_id, wave in zip(world.item_ids, world.waveforms):
-        fileio.write_raw_float32(out_dir / "audio" / f"{item_id}.f32", wave.samples, wave.sample_rate)
+        for start in range(0, len(logs), LOG_BLOCK):
+            block = slice(start, start + LOG_BLOCK)
+            fh.writelines(
+                f"{logs.user_ids[u]}\t{logs.item_ids[i]}\t{c}\n"
+                for u, i, c in zip(
+                    logs.users[block].tolist(), logs.items[block].tolist(),
+                    logs.counts[block].tolist(),
+                )
+            )
     with open(out_dir / "labels.csv", "w", encoding="utf-8") as fh:
         fh.write("item_id,label\n")
         for item_id, label in zip(world.item_ids, world.labels):
@@ -243,6 +263,9 @@ def write_world(world: World, out_dir):
     fileio.save_float_table(
         out_dir / "latents.ftab", world.item_ids, world.item_latents, meta={"kind": "true_latents"}
     )
+    if audio:
+        for item_id, wave in zip(world.item_ids, world.waveforms):
+            write_audio(out_dir / "audio", item_id, wave)
 
 
 def _load_labels_csv(path, kind):
@@ -265,7 +288,7 @@ def _load_labels_csv(path, kind):
 def _stage_world(ctx):
     if ctx["world"] is not None:
         world = generate_world(ctx["world"])
-        write_world(world, ctx["out_dir"] / "world")
+        write_world(world, ctx["out_dir"] / "world", audio=False)  # see _stage_features
         ctx["logs"] = world.interactions
         ctx["item_ids"] = world.item_ids
         ctx["waveforms"] = world.waveforms
@@ -301,11 +324,18 @@ def fit_embedding(logs, config: AlsConfig, path):
     return matrix, embedding
 
 
-def write_features(item_ids, waveforms, config: FeatureConfig, out_dir):
-    """Save each mel grid as ``<out_dir>/<item_id>.ftab``; returns {item_id: grid}."""
+def write_features(item_ids, waveforms, config: FeatureConfig, out_dir, audio_dir=None):
+    """Save each mel grid as ``<out_dir>/<item_id>.ftab``; returns {item_id: grid}.
+
+    One pass over ``waveforms``, which may synthesize each item as it is
+    read; given ``audio_dir``, each waveform is also written there (see
+    ``write_audio``).  No waveform is kept once its grid is written.
+    """
     grids = {}
     for item_id, wave in zip(item_ids, waveforms):
         mel = melspectrogram(wave, config)
+        if audio_dir is not None:
+            write_audio(audio_dir, item_id, wave)
         fileio.save_float_table(
             Path(out_dir) / f"{item_id}.ftab",
             [f"mel_{i:03d}" for i in range(mel.n_mels)],
@@ -322,8 +352,12 @@ def _stage_als(ctx):
 
 
 def _stage_features(ctx):
+    # A generated world's audio is synthesized and written here, in one pass
+    # with the grids, so only one batch of it is ever in memory.
+    audio_dir = ctx["out_dir"] / "world" / "audio" if ctx["world"] is not None else None
     grids = write_features(
-        ctx["item_ids"], ctx.pop("waveforms"), ctx["features"], ctx["out_dir"] / "features"
+        ctx["item_ids"], ctx.pop("waveforms"), ctx["features"], ctx["out_dir"] / "features",
+        audio_dir=audio_dir,
     )
     shapes = {g.shape for g in grids.values()}
     if len(shapes) != 1:
@@ -478,7 +512,7 @@ def _stage_tasks(ctx):
                 )
                 results.append((task_name, result))
 
-    with open(out_dir / "folds.json", "w", encoding="utf-8") as fh:
+    with fileio.atomic_write(out_dir / "folds.json", "w") as fh:
         json.dump({"task_items": task_ids, "cells": fold_records}, fh, indent=2)
         fh.write("\n")
     write_results_csv(out_dir / "results.csv", results)
@@ -486,9 +520,9 @@ def _stage_tasks(ctx):
 
 
 def _write_csv(path, header, rows):
-    """A header line, then one comma-joined line per row; floats get 8 decimals."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    """A header line, then one comma-joined line per row; floats get 8 decimals.
+    Written atomically (see ``fileio.atomic_write``)."""
+    with fileio.atomic_write(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.8f}" if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -516,7 +550,7 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     settings = validate_manifest(manifest)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with fileio.atomic_write(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     ctx = {**settings, "out_dir": out_dir, "deterministic": deterministic}

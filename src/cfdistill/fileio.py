@@ -11,7 +11,9 @@ Three formats live here:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,29 @@ FTAB_MAGIC = b"FTAB"
 FTAB_VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb"):
+    """Open a temp file beside ``path`` for writing (``mode`` "wb" or "w").
+
+    When the block exits cleanly the temp file replaces ``path`` in one
+    ``os.replace``; when it raises, the temp file is removed.  So ``path``
+    is either its old self or complete, never truncated, and no temp file
+    is left behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_float_table(path, ids, matrix, meta=None):
-    """Write a named float64 matrix to ``path``.
+    """Write a named float64 matrix to ``path`` (atomically, see ``atomic_write``).
 
     Layout: 4-byte magic, uint32 version, uint32 header length, UTF-8 JSON
     header, then row-major little-endian float64 data.  The header records
@@ -44,9 +67,7 @@ def save_float_table(path, ids, matrix, meta=None):
         "meta": dict(meta or {}),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(FTAB_MAGIC)
         fh.write(np.uint32(FTAB_VERSION).tobytes())
         fh.write(np.uint32(len(blob)).tobytes())
@@ -102,14 +123,13 @@ def read_wav(path, expect_rate=None):
 
 
 def write_raw_float32(path, samples, sample_rate):
-    """Write samples as little-endian float32 plus a JSON sidecar."""
+    """Write samples as little-endian float32 plus a JSON sidecar, each
+    file atomically (see ``atomic_write``)."""
     samples = np.asarray(samples, dtype=np.float64)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(samples.astype("<f4").tobytes())
     sidecar = {"sample_rate": int(sample_rate), "length": int(samples.size)}
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_write(str(path) + ".json", "w") as fh:
         fh.write(json.dumps(sidecar) + "\n")
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ..fileio import atomic_write
 from .layers import (
     BatchNorm,
     Conv2d,
@@ -313,7 +313,7 @@ def build_preset(name, n_channels, seed=0, dtype=np.float64, **kwargs):
 
 
 def save_checkpoint(model: NetworkModel, path, extra=None):
-    """Write architecture plus all parameters/buffers to one .npz file."""
+    """Write architecture plus all parameters/buffers to one .npz file, atomically."""
     arch = {
         "input_shape": list(model.input_shape),
         "layers": [s.to_dict() for s in model.specs],
@@ -322,10 +322,9 @@ def save_checkpoint(model: NetworkModel, path, extra=None):
     }
     if extra:
         arch["extra"] = extra
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {f"state/{k}": v for k, v in model.get_state().items()}
-    np.savez(path, arch=np.frombuffer(json.dumps(arch, sort_keys=True).encode(), dtype=np.uint8), **arrays)
+    with atomic_write(path) as fh:
+        np.savez(fh, arch=np.frombuffer(json.dumps(arch, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path, expect_specs=None, expect_input_shape=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -69,7 +70,7 @@ class WorldConfig:
 class World:
     config: WorldConfig
     interactions: Interactions
-    waveforms: list
+    waveforms: Sequence  # a WorldAudio, or any sequence of Waveforms
     labels: np.ndarray
     item_ids: list
     user_ids: list
@@ -145,16 +146,57 @@ def item_waveform(config: WorldConfig, latent, item_index):
     return Waveform(wave, config.sample_rate)
 
 
-def _waveforms(config: WorldConfig, item_latents, workers):
-    """Every item's waveform, in item order, synthesized on ``workers`` threads.
+# Items synthesized per batch when a world's waveforms are iterated: a batch
+# is synthesized on the thread pool, then handed out one item at a time, so
+# one batch of float64 audio is alive at most (31 MB at 128 clips of 1.875 s
+# at 16 kHz).  Measured on the 800-item ingest world (2 cores, default
+# OpenBLAS threads, medians of 4): the audio+features pass took 5.28 s with
+# every item synthesized first, 5.32 s at 256, 5.72 s at 128 and 6.01 s at
+# 64, while peak RSS of the ingest job was 333, 211, 183 and 167 MB.  The
+# gap comes from OpenBLAS's second thread, which spins after the mel
+# products and slows the next batch's synthesis; with one BLAS thread every
+# size took 5.7-5.9 s.
+AUDIO_BATCH = 128
 
+
+class WorldAudio(Sequence):
+    """Every item's waveform, in item order, synthesized when it is read.
+
+    Indexing synthesizes one item on the calling thread.  Iterating
+    synthesizes ``AUDIO_BATCH`` items at a time on ``workers`` threads (by
+    default one per CPU of this process) and lets go of each item once it is
+    handed out, so a pass over the audio never holds more than one batch.
     Each item has its own generator, so the bytes do not depend on the
-    worker count, and numpy releases the GIL in the draws, FFTs and ``sin``.
-    Workers call nothing the benchmark's tracer wraps: its span stack is
-    process-wide, so spans opened from two threads would get wrong parents.
+    worker count or the batch size, and numpy releases the GIL in the draws,
+    FFTs and ``sin``.  Workers call nothing the benchmark's tracer wraps:
+    its span stack is process-wide, so spans opened from two threads would
+    get wrong parents.
     """
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(item_waveform, repeat(config), item_latents, range(config.n_items)))
+
+    def __init__(self, config: WorldConfig, item_latents, workers=None):
+        self.config = config
+        self.item_latents = item_latents
+        self.workers = workers or len(os.sched_getaffinity(0))
+
+    def __len__(self):
+        return self.config.n_items
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]  # negative indices, IndexError past the end
+        return item_waveform(self.config, self.item_latents[i], i)
+
+    def __iter__(self):
+        n = len(self)
+        for start in range(0, n, AUDIO_BATCH):
+            stop = min(start + AUDIO_BATCH, n)
+            with ThreadPoolExecutor(min(self.workers, stop - start)) as pool:
+                batch = list(pool.map(
+                    item_waveform, repeat(self.config), self.item_latents[start:stop],
+                    range(start, stop),
+                ))
+            batch.reverse()
+            while batch:
+                yield batch.pop()
 
 
 def _make_labels(config: WorldConfig, item_latents, rng):
@@ -178,7 +220,11 @@ def _make_labels(config: WorldConfig, item_latents, rng):
 
 
 def generate_world(config: WorldConfig) -> World:
-    """Sample a complete world; deterministic for a given config."""
+    """Sample a complete world; deterministic for a given config.
+
+    The audio is not synthesized here: ``waveforms`` is a ``WorldAudio``
+    that synthesizes each item when it is read.
+    """
     rng_lat = np.random.default_rng([config.seed, 0])
     item_latents = rng_lat.uniform(-1.0, 1.0, size=(config.n_items, config.latent_dim))
     user_latents = rng_lat.normal(0.0, 1.0, size=(config.n_users, config.latent_dim))
@@ -188,9 +234,11 @@ def generate_world(config: WorldConfig) -> World:
     )
 
     rng_int = np.random.default_rng([config.seed, 2])
-    probs = sigmoid(
-        config.affinity_scale * (user_latents @ item_latents.T) + config.affinity_offset
-    )
+    # In place: the (n_users, n_items) matrix is the world's largest temporary.
+    probs = user_latents @ item_latents.T
+    probs *= config.affinity_scale
+    probs += config.affinity_offset
+    sigmoid(probs, out=probs)
     if float(probs.max()) <= 0.0:
         raise ValueError("interaction probabilities are all zero; infeasible world")
     mask = rng_int.random(probs.shape) < probs
@@ -208,13 +256,10 @@ def generate_world(config: WorldConfig) -> World:
     item_ids = [f"item_{i:05d}" for i in range(config.n_items)]
     user_ids = [f"user_{u:05d}" for u in range(config.n_users)]
 
-    waveforms = _waveforms(
-        config, item_latents, min(config.n_items, len(os.sched_getaffinity(0)))
-    )
     return World(
         config=config,
         interactions=Interactions(user_ids, item_ids, users, items, counts),
-        waveforms=waveforms,
+        waveforms=WorldAudio(config, item_latents),
         labels=labels,
         item_ids=item_ids,
         user_ids=user_ids,

@@ -130,6 +130,22 @@ class TestGenerateWorld:
         b = (tmp_path / "b" / "logs.tsv").read_text()
         assert a != b
 
+    def test_world_files_equal_those_a_run_writes(self, tmp_path):
+        """``generate-world`` and ``run`` write the same world directory, audio
+        included, though a run writes the audio in its features pass."""
+        manifest = write_manifest(tmp_path, make_tiny_manifest())
+        assert main(["run", str(manifest), "--out", str(tmp_path / "run"), "--deterministic"]) == 0
+        assert main(["generate-world", str(manifest), str(tmp_path / "world")]) == 0
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        written, generated = files(tmp_path / "run" / "world"), files(tmp_path / "world")
+        assert len([name for name in generated if name.endswith(".f32")]) == 36
+        assert sorted(written) == sorted(generated)
+        for name, data in generated.items():
+            assert written[name] == data, name
+
 
 class TestAlsFit:
     def test_three_line_log_round_trip(self, tmp_path):

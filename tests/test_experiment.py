@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 import cfdistill
 from cfdistill import experiment, transfer
+from cfdistill import world as world_module
 from cfdistill.als import load_embedding
 from cfdistill.experiment import (
     StageError,
@@ -178,6 +181,41 @@ class TestTaskCells:
         estimator = load_checkpoint(out / "checkpoints" / "cf_estimator.npz").get_state()
         forwards = [s for s in states if all(np.array_equal(s[k], v) for k, v in estimator.items())]
         assert len(forwards) == 1
+
+
+class TestStreamedAudio:
+    def test_run_synthesizes_each_item_once_and_holds_one_batch(self, tmp_path, monkeypatch):
+        """The features pass is the only reader of a world's audio, and it holds
+        at most one batch of waveforms plus one per worker thread."""
+        batch = 4
+        workers = min(batch, len(os.sched_getaffinity(0)))
+        lock = threading.Lock()
+        live, peak, made = [0], [0], []
+        real = world_module.item_waveform
+
+        def released():
+            with lock:
+                live[0] -= 1
+
+        def tracked(config, latent, index):
+            wave = real(config, latent, index)
+            weakref.finalize(wave, released)
+            with lock:
+                made.append(index)
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            return wave
+
+        monkeypatch.setattr(world_module, "item_waveform", tracked)
+        monkeypatch.setattr(world_module, "AUDIO_BATCH", batch)
+        manifest = json.loads((CONFIGS / "tiny.json").read_text(encoding="utf-8"))
+        out = tmp_path / "out"
+        run_experiment(manifest, out, deterministic=True)
+        n_items = manifest["world"]["n_items"]
+        assert sorted(made) == list(range(n_items))
+        assert 0 < peak[0] <= batch + workers
+        assert live[0] == 0
+        assert len(list((out / "world" / "audio").glob("*.f32"))) == n_items
 
 
 class TestDatasetMode:
@@ -350,8 +388,9 @@ class TestManifestMutationSweep:
     @pytest.mark.parametrize("name", ["tiny.json", "default.json", "control_world.json"])
     def test_every_key_deleted_misspelt_or_mistyped(self, name):
         """Each mutation parses (a deleted key with a default) or raises a
-        ValueError that names the key: its path in quotes, or its section and
-        its own name for a value the section's config class rejects."""
+        ValueError that names the key: its path in quotes, or, for a value the
+        section's config class rejects, its section and its own name.  A
+        deleted key's error always names its full path."""
         manifest = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
         failures, count = [], 0
         for kind, mutated, path in mutations(manifest, seed=8):
@@ -363,7 +402,7 @@ class TestManifestMutationSweep:
             except ValueError as exc:
                 message = str(exc)
                 if f"'{label}'" in message or (
-                    section and message.startswith(f"manifest {section}: ")
+                    kind != "delete" and section and message.startswith(f"manifest {section}: ")
                     and str(path[-1]) in message
                 ):
                     continue

@@ -1,8 +1,13 @@
-"""Round trips of the shared file formats."""
+"""Round trips of the shared file formats, and atomic writes."""
+
+import errno
+import os
 
 import numpy as np
 import pytest
 
+from cfdistill import fileio
+from cfdistill.experiment import write_results_csv
 from cfdistill.fileio import (
     list_audio_files,
     load_float_table,
@@ -13,6 +18,8 @@ from cfdistill.fileio import (
     write_raw_float32,
     write_wav,
 )
+from cfdistill.nn.network import LayerSpec, build_network, save_checkpoint
+from cfdistill.transfer import ExperimentResult
 
 
 class TestFloatTable:
@@ -112,3 +119,81 @@ class TestAudioDirectory:
         write_raw_float32(tmp_path / "a.f32", np.zeros(50), 16000)
         with pytest.raises(ValueError, match="a.f32 and a.wav share the item id 'a'"):
             list_audio_files(tmp_path)
+
+
+class _FullDisk:
+    """A file that takes ``budget`` more characters, then fails as a full disk does."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _table(path, version):
+    save_float_table(path, ["a", "b"], np.full((2, 64), float(version)))
+
+
+def _audio(path, version):
+    write_raw_float32(path, np.full(500, 0.1 * version), 16000 * version)
+
+
+def _checkpoint(path, version):
+    model = build_network([LayerSpec("fully_connected", width=16)], (32,), seed=version)
+    save_checkpoint(model, path, extra={"version": version})
+
+
+def _results(path, version):
+    rows = [("t", ExperimentResult("base", 8, s, 0, "accuracy", 0.5, version, 1.0))
+            for s in range(20)]
+    write_results_csv(path, rows)
+
+
+WRITERS = {"float_table": (_table, "x.ftab"), "raw_float32": (_audio, "x.f32"),
+           "checkpoint": (_checkpoint, "x.npz"), "results_csv": (_results, "results.csv")}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+class TestAtomicWrites:
+    """A write that fails part way leaves the target as it was (absent, or
+    the previous complete file) and no temp file beside it."""
+
+    def _fail_after(self, monkeypatch, budget):
+        monkeypatch.setattr(
+            fileio, "open", lambda *a, **k: _FullDisk(open(*a, **k), budget), raising=False
+        )
+
+    @pytest.mark.parametrize("budget", [0, 40])
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch, writer, budget):
+        write, name = WRITERS[writer]
+        self._fail_after(monkeypatch, budget)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path / name, 1)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rewrite_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
+        write, name = WRITERS[writer]
+        write(tmp_path / name, 1)
+        before = {p: (tmp_path / p).read_bytes() for p in os.listdir(tmp_path)}
+        write(tmp_path / "fresh" / name, 2)
+        assert (tmp_path / "fresh" / name).read_bytes() != before[name]
+        self._fail_after(monkeypatch, 40)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path / name, 2)
+        after = {p: (tmp_path / p).read_bytes() for p in os.listdir(tmp_path) if p != "fresh"}
+        assert after == before

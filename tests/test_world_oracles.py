@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import reference_world as ref
+from cfdistill import world as world_module
 from cfdistill.experiment import _load_labels_csv, write_world
-from cfdistill.world import WorldConfig, _synthesis_plan, _waveforms, generate_world, item_waveform
+from cfdistill.world import WorldAudio, WorldConfig, _synthesis_plan, generate_world, item_waveform
 
 CONFIGS = {
     "dim1_regression": WorldConfig(n_users=8, n_items=5, latent_dim=1, seed=1, duration=0.125,
@@ -72,11 +73,11 @@ class TestWorkerCount:
     def test_waveforms_and_audio_files_identical_with_one_and_three_workers(self, tmp_path):
         world = generate_world(self.CONFIG)
         before = threading.active_count()
-        one = _waveforms(self.CONFIG, world.item_latents, 1)
+        one = list(WorldAudio(self.CONFIG, world.item_latents, workers=1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more workers than cores, switching often
         try:
-            three = _waveforms(self.CONFIG, world.item_latents, 3)
+            three = list(WorldAudio(self.CONFIG, world.item_latents, workers=3))
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
@@ -90,6 +91,17 @@ class TestWorkerCount:
             assert (tmp_path / "one" / "audio" / name).read_bytes() == (
                 tmp_path / "three" / "audio" / name
             ).read_bytes()
+
+    def test_batch_size_and_indexing_give_the_same_waveforms(self, monkeypatch):
+        world = generate_world(self.CONFIG)
+        monkeypatch.setattr(world_module, "AUDIO_BATCH", 3)  # batches of 3, 3 and 1
+        batched = list(world.waveforms)
+        assert len(batched) == len(world.waveforms) == self.CONFIG.n_items
+        for i, wave in enumerate(batched):
+            assert np.array_equal(wave.samples, world.waveforms[i].samples)
+            assert np.array_equal(wave.samples, world.waveforms[i - len(batched)].samples)
+        with pytest.raises(IndexError):
+            world.waveforms[len(batched)]
 
     def test_generate_world_leaves_no_thread_behind(self):
         before = threading.active_count()
