@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
+from . import pool
 from .fileio import load_float_table, save_float_table
 
 
@@ -67,6 +68,9 @@ class UserItemMatrix:
         self.item_ids = list(item_ids)
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.item_index = {m: i for i, m in enumerate(self.item_ids)}
+        # Each side's CSR arrays in shared memory for the ALS workers, made
+        # on the side's first solve and freed with the matrix.
+        self.shared_rows: dict = {}
 
     @property
     def n_users(self) -> int:
@@ -235,6 +239,46 @@ def _row_reg(config: AlsConfig, nnz_row: int) -> float:
     return config.reg_lambda * (nnz_row if config.scale_reg_by_count else 1.0)
 
 
+def _row_blocks(indptr, n_blocks):
+    """Up to ``n_blocks`` contiguous (first, stop) row ranges of about equal
+    non-zeros, in row order, covering every row."""
+    cuts = np.searchsorted(indptr, indptr[-1] * np.arange(1, n_blocks) / n_blocks)
+    bounds = np.unique(np.concatenate(([0], cuts, [len(indptr) - 1]))).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _solve_rows(fixed, csr, solved, indptr, config: AlsConfig, first_row: int):
+    """The ridge solves of one block of rows.  ``fixed``, ``csr`` and
+    ``solved`` are :class:`pool.SharedArrays` handles: the fixed factors,
+    the side's CSR ``indices`` and ``data``, and the side's factor table,
+    whose rows of this block are written here.  ``indptr`` is the block's
+    slice of the CSR ``indptr`` and ``first_row`` the block's first row."""
+    (fixed,) = pool.load_shared(fixed)
+    indices, data = pool.load_shared(csr, slice(indptr[0], indptr[-1]))
+    indptr = indptr - indptr[0]
+    k = config.n_factors
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (fixed,))
+    weight = config.alpha * data  # the diagonal of C_u - I
+    target = 1.0 + weight  # C_u p(u) on the row's non-zeros
+    yty = fixed.T @ fixed
+    out = np.zeros((len(indptr) - 1, k), dtype=np.float64)
+    for u in range(len(indptr) - 1):
+        lo, hi = indptr[u], indptr[u + 1]
+        if lo == hi:
+            continue
+        m = fixed[indices[lo:hi]]
+        a = yty + (m.T * weight[lo:hi]) @ m
+        a.flat[:: k + 1] += _row_reg(config, hi - lo)
+        factor, info = potrf(a, lower=1, clean=0)
+        if info > 0:  # unreachable for reg_lambda > 0
+            raise ValueError(
+                f"normal matrix for row {first_row + u} is not SPD: "
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        out[u], _ = potrs(factor, m.T @ target[lo:hi], lower=1)
+    pool.store_shared(solved, slice(first_row, first_row + len(out)), out)
+
+
 def als_solve_side(fixed, matrix: UserItemMatrix, config: AlsConfig, side: str):
     """Exact ridge solve of one side given the other side's factors.
 
@@ -246,6 +290,13 @@ def als_solve_side(fixed, matrix: UserItemMatrix, config: AlsConfig, side: str):
     interactions get the zero vector (the ridge minimizer).  Each row is
     factored and solved by LAPACK ``potrf``/``potrs``, the routines behind
     scipy's ``cho_factor(lower=True)``/``cho_solve``, called directly.
+
+    The rows are cut into contiguous blocks of about equal non-zeros, one
+    per worker of :mod:`cfdistill.pool`, and always solved there, with one
+    BLAS thread.  So the result depends neither on this process's BLAS
+    threads nor on the worker count.  The side's CSR arrays are copied to
+    shared memory on its first solve and kept in ``matrix.shared_rows``
+    until the matrix is freed.
     """
     if side not in ("user", "item"):
         raise ValueError(f"side must be 'user' or 'item', got {side!r}")
@@ -262,27 +313,17 @@ def als_solve_side(fixed, matrix: UserItemMatrix, config: AlsConfig, side: str):
         )
     if not np.all(np.isfinite(fixed)):
         raise ValueError("fixed factors contain non-finite entries")
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (fixed,))
-    weight = config.alpha * counts.data  # the diagonal of C_u - I
-    target = 1.0 + weight  # C_u p(u) on the row's non-zeros
-    yty = fixed.T @ fixed
-    out = np.zeros((counts.shape[0], k), dtype=np.float64)
-    indptr, indices = counts.indptr, counts.indices
-    for u in range(counts.shape[0]):
-        lo, hi = indptr[u], indptr[u + 1]
-        if lo == hi:
-            continue
-        m = fixed[indices[lo:hi]]
-        a = yty + (m.T * weight[lo:hi]) @ m
-        a.flat[:: k + 1] += _row_reg(config, hi - lo)
-        factor, info = potrf(a, lower=1, clean=0)
-        if info > 0:  # unreachable for reg_lambda > 0
-            raise ValueError(
-                f"normal matrix for row {u} is not SPD: "
-                f"{info}-th leading minor of the array is not positive definite"
-            )
-        out[u], _ = potrs(factor, m.T @ target[lo:hi], lower=1)
-    return out
+    if side not in matrix.shared_rows:
+        matrix.shared_rows[side] = pool.SharedArrays(counts.indices, counts.data)
+    csr = matrix.shared_rows[side].handle
+    indptr = counts.indptr
+    solved = pool.SharedArrays(np.zeros((counts.shape[0], k), dtype=np.float64))
+    with pool.SharedArrays(fixed) as shared, solved:
+        pool.starmap(_solve_rows, [
+            (shared.handle, csr, solved.handle, indptr[first : stop + 1], config, first)
+            for first, stop in _row_blocks(indptr, pool.worker_count())
+        ])
+        return pool.load_shared(solved.handle)[0]
 
 
 def als_fit(
@@ -295,8 +336,9 @@ def als_fit(
     Factors start uniform in [-0.01, 0.01] from the seeded generator, so a
     zero-iteration fit returns the initialization.  ``on_sweep`` (if given)
     observes (sweep_index, user_vectors, item_vectors) after each full
-    sweep.  Row solves within a side are independent; this implementation
-    runs them serially, which is the deterministic reference order.
+    sweep.  Row solves within a side are independent, and
+    :func:`als_solve_side` spreads them over the worker pool; the factors
+    are the same bits whatever the worker or BLAS thread count.
     """
     rng = np.random.default_rng(config.seed)
     users = rng.uniform(-0.01, 0.01, size=(matrix.n_users, config.n_factors))

@@ -243,7 +243,7 @@ def write_world(world: World, out_dir, audio=True):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     logs = world.interactions
-    with open(out_dir / "logs.tsv", "w", encoding="utf-8") as fh:
+    with fileio.atomic_write(out_dir / "logs.tsv", "w") as fh:
         for start in range(0, len(logs), LOG_BLOCK):
             block = slice(start, start + LOG_BLOCK)
             fh.writelines(
@@ -253,7 +253,7 @@ def write_world(world: World, out_dir, audio=True):
                     logs.counts[block].tolist(),
                 )
             )
-    with open(out_dir / "labels.csv", "w", encoding="utf-8") as fh:
+    with fileio.atomic_write(out_dir / "labels.csv", "w") as fh:
         fh.write("item_id,label\n")
         for item_id, label in zip(world.item_ids, world.labels):
             if world.config.task_kind == "classification":

@@ -76,7 +76,11 @@ def save_float_table(path, ids, matrix, meta=None):
 
 
 def load_float_table(path):
-    """Read a float table; returns ``(ids, matrix, meta)``."""
+    """Read a float table; returns ``(ids, matrix, meta)``.
+
+    The file must be exactly as long as its header says: a shorter one is
+    truncated, and a longer one has bytes no writer put there.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FTAB_MAGIC:
@@ -87,9 +91,16 @@ def load_float_table(path):
         header_len = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
         header = json.loads(fh.read(header_len).decode("utf-8"))
         n_rows, n_cols = header["n_rows"], header["n_cols"]
+        size = 12 + header_len + 8 * n_rows * n_cols
+        actual = os.fstat(fh.fileno()).st_size
+        if actual < size:
+            raise ValueError(f"{path}: truncated float table")
+        if actual > size:
+            raise ValueError(
+                f"{path}: {actual - size} bytes after the float table's data "
+                f"(file is {actual} bytes, header says {size})"
+            )
         data = np.frombuffer(fh.read(n_rows * n_cols * 8), dtype="<f8")
-    if data.size != n_rows * n_cols:
-        raise ValueError(f"{path}: truncated float table")
     matrix = data.reshape(n_rows, n_cols).copy()
     return header["ids"], matrix, header.get("meta", {})
 

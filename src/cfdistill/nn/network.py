@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import zipfile
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -333,21 +334,27 @@ def load_checkpoint(path, expect_specs=None, expect_input_shape=None):
     If the expected schedule or input shape is given and the file holds a
     different architecture, loading fails with a descriptive error.
     """
-    with np.load(path) as data:
-        arch = json.loads(bytes(data["arch"]).decode())
-        if arch.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version")
-        specs = [LayerSpec.from_dict(d) for d in arch["layers"]]
-        input_shape = tuple(arch["input_shape"])
-        if expect_specs is not None and list(expect_specs) != specs:
-            raise ValueError(
-                f"{path}: checkpoint architecture does not match the expected schedule"
-            )
-        if expect_input_shape is not None and tuple(expect_input_shape) != input_shape:
-            raise ValueError(
-                f"{path}: checkpoint input shape {input_shape} != expected "
-                f"{tuple(expect_input_shape)}"
-            )
-        model = build_network(specs, input_shape, seed=0, dtype=arch.get("dtype", "float64"))
-        model.set_state({k[len("state/") :]: data[k] for k in data.files if k.startswith("state/")})
+    try:
+        with np.load(path) as data:
+            arch = json.loads(bytes(data["arch"]).decode())
+            state = {k[len("state/") :]: data[k] for k in data.files if k.startswith("state/")}
+    except KeyError:
+        raise ValueError(f"{path}: checkpoint has no 'arch' record") from None
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:  # not a zip, cut short, bad JSON
+        raise ValueError(f"{path}: not a readable checkpoint: {exc}") from None
+    if not isinstance(arch, dict) or arch.get("checkpoint_version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version")
+    specs = [LayerSpec.from_dict(d) for d in arch["layers"]]
+    input_shape = tuple(arch["input_shape"])
+    if expect_specs is not None and list(expect_specs) != specs:
+        raise ValueError(
+            f"{path}: checkpoint architecture does not match the expected schedule"
+        )
+    if expect_input_shape is not None and tuple(expect_input_shape) != input_shape:
+        raise ValueError(
+            f"{path}: checkpoint input shape {input_shape} != expected "
+            f"{tuple(expect_input_shape)}"
+        )
+    model = build_network(specs, input_shape, seed=0, dtype=arch.get("dtype", "float64"))
+    model.set_state(state)
     return model

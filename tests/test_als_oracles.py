@@ -4,10 +4,12 @@ references they replaced (``reference_als``), bit for bit.
 The fast path changes no arithmetic: the same products in the same order,
 and the LAPACK routines scipy's ``cho_factor``/``cho_solve`` call.  So every
 comparison here is exact (``np.array_equal``, equal id lists), not a
-tolerance.  The last test runs ALS in two child processes, one with BLAS
-pinned to a single thread, and requires byte-identical item tables.
+tolerance.  The last tests run ALS in child processes, with BLAS pinned to
+one thread or not and with one pool worker or two, and require
+byte-identical item tables.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from cfdistill.als import (
     als_fit,
     als_solve_side,
     build_interaction_matrix,
+    parse_log_file,
 )
 from cfdistill.experiment import write_world
 from cfdistill.world import WorldConfig, generate_world
@@ -151,34 +154,119 @@ class TestSolveMatchesReference:
             als_solve_side(fixed, m, config, side)
 
 
-class TestBlasThreadInvariance:
-    def test_item_table_identical_with_one_and_default_blas_threads(self, tmp_path):
-        """``generate-world`` then ``als-fit`` writes the same item table whatever
-        the BLAS thread count.
+def child_env(**extra):
+    """This process's environment with ``src`` on PYTHONPATH, plus ``extra``."""
+    src = str(Path(cfdistill.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env.update(extra)
+    return env
 
-        With 600 users every item row holds well over 165 interactions, so its
-        ``k x nnz @ nnz x k`` product (k = 40) is past OpenBLAS's 262,144
-        multiply cut-off for using more than one thread.
-        """
-        config = tmp_path / "world.json"
-        config.write_text('{"n_users": 600, "n_items": 40, "duration": 0.125}', encoding="utf-8")
-        src = str(Path(cfdistill.__file__).resolve().parents[1])
-        inherited = dict(os.environ)
-        inherited["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        )
-        pinned = {**inherited, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        tables = {}
-        for name, env in (("pinned", pinned), ("inherited", inherited)):
-            out = tmp_path / name
-            for args in (["generate-world", str(config), str(out / "world"), "--seed", "2"],
-                         ["als-fit", str(out / "world" / "logs.tsv"), str(out / "items.ftab")]):
-                proc = subprocess.run([sys.executable, "-m", "cfdistill.cli", *args], env=env,
-                                      capture_output=True, text=True, timeout=120)
-                assert proc.returncode == 0, proc.stderr
-            tables[name] = (out / "items.ftab").read_bytes()
-        logs = (tmp_path / "pinned" / "world" / "logs.tsv").read_text(encoding="utf-8")
-        per_item = np.unique([line.split("\t")[1] for line in logs.splitlines()],
-                             return_counts=True)[1]
+
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def run_python(args, env):
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def cli_world(tmp_path, n_users, n_items):
+    """``generate-world --seed 2`` at the given size; returns logs.tsv and its
+    play counts per item."""
+    config = tmp_path / "world.json"
+    config.write_text(json.dumps({"n_users": n_users, "n_items": n_items, "duration": 0.125}),
+                      encoding="utf-8")
+    run_python(["-m", "cfdistill.cli", "generate-world", str(config), str(tmp_path / "world"),
+                "--seed", "2"], child_env())
+    logs = tmp_path / "world" / "logs.tsv"
+    items = [line.split("\t")[1] for line in logs.read_text(encoding="utf-8").splitlines()]
+    per_item = np.unique(items, return_counts=True)[1]
+    return logs, per_item
+
+
+def cli_item_table(logs, out, env, prelude=""):
+    """The bytes ``als-fit`` writes for ``logs``, run in a child after ``prelude``."""
+    run_python(["-c", f"import sys\n{prelude}\nfrom cfdistill.cli import main\n"
+                      "sys.exit(main(sys.argv[1:]))", "als-fit", str(logs), str(out)], env)
+    return out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def world_1500x30(tmp_path_factory):
+    return cli_world(tmp_path_factory.mktemp("world_1500x30"), 1500, 30)
+
+
+class TestBlasThreadInvariance:
+    """``als-fit`` writes the same item table whatever the BLAS thread count of
+    the process that calls it, and whatever the pool's worker count: every row
+    is solved in a pool worker pinned to one BLAS thread, and a row's
+    arithmetic does not depend on which block of rows it was sent with.
+
+    Each world below has item rows whose ``k x nnz @ nnz x k`` product
+    (k = 40) is past OpenBLAS's 262,144 multiply cut-off for using more than
+    one thread, so a row solved under the default threads could round
+    differently.
+    """
+
+    @staticmethod
+    def assert_same_table_pinned_and_inherited(logs, tmp_path):
+        pinned = cli_item_table(logs, tmp_path / "pinned.ftab", child_env(**PINNED))
+        inherited = cli_item_table(logs, tmp_path / "inherited.ftab", child_env())
+        assert pinned == inherited
+
+    def test_item_table_identical_with_one_and_default_blas_threads(self, tmp_path):
+        logs, per_item = cli_world(tmp_path, 600, 40)
         assert per_item.min() > 165
-        assert tables["pinned"] == tables["inherited"]
+        self.assert_same_table_pinned_and_inherited(logs, tmp_path)
+
+    def test_item_table_identical_with_one_and_default_blas_threads_1500x30(
+            self, world_1500x30, tmp_path):
+        """This world's item tables differed between the two thread counts
+        when the parent solved the rows itself."""
+        logs, per_item = world_1500x30
+        assert (per_item.min(), per_item.max()) == (500, 644)
+        self.assert_same_table_pinned_and_inherited(logs, tmp_path)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_item_table_identical_with_one_and_two_workers(self, world_1500x30, tmp_path):
+        logs, _ = world_1500x30
+        one_cpu = ("import os\nfrom cfdistill import pool\n"
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                   "assert pool.worker_count() == 1")
+        one = cli_item_table(logs, tmp_path / "one.ftab", child_env(), one_cpu)
+        two_cpus = ("import os\nfrom cfdistill import pool\n"
+                    "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+                    "assert pool.worker_count() == 2")
+        two = cli_item_table(logs, tmp_path / "two.ftab", child_env(), two_cpus)
+        assert one == two
+
+    def test_fit_matches_reference_run_with_blas_pinned(self, world_1500x30, tmp_path):
+        """``als_fit`` here equals the slow reference solves run in a child with
+        one BLAS thread, bit for bit, past the threading cut-off."""
+        logs, _ = world_1500x30
+        config = AlsConfig(n_iterations=3)
+        tests_dir = str(Path(__file__).resolve().parent)
+        script = f"""
+import sys
+import numpy as np
+sys.path.insert(0, {tests_dir!r})
+import reference_als as ref
+from cfdistill.als import AlsConfig, build_interaction_matrix, parse_log_file
+m = build_interaction_matrix(parse_log_file({str(logs)!r}))
+config = AlsConfig(n_iterations={config.n_iterations})
+rng = np.random.default_rng(config.seed)
+users = rng.uniform(-0.01, 0.01, size=(m.n_users, config.n_factors))
+items = rng.uniform(-0.01, 0.01, size=(m.n_items, config.n_factors))
+for _ in range(config.n_iterations):
+    users = ref.als_solve_side(items, m, config, "user")
+    items = ref.als_solve_side(users, m, config, "item")
+np.save({str(tmp_path / "users.npy")!r}, users)
+np.save({str(tmp_path / "items.npy")!r}, items)
+"""
+        run_python(["-c", script], child_env(**PINNED))
+        emb = als_fit(build_interaction_matrix(parse_log_file(logs)), config)
+        assert np.array_equal(emb.user_vectors, np.load(tmp_path / "users.npy"))
+        assert np.array_equal(emb.item_vectors, np.load(tmp_path / "items.npy"))

@@ -13,6 +13,7 @@ from cfdistill.als import load_embedding, item_vector
 from cfdistill.cli import main
 from cfdistill.experiment import load_manifest, validate_manifest, write_results_csv
 from cfdistill.fileio import load_float_table, write_raw_float32, write_wav
+from cfdistill.nn.network import build_preset, save_checkpoint
 from cfdistill.transfer import ExperimentResult
 
 from conftest import make_tiny_manifest
@@ -240,6 +241,19 @@ class TestManifestCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert "stage=tasks" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_a_zip"])
+    def test_damaged_estimator_checkpoint_is_single_line_error(self, tmp_path, capsys, damage):
+        manifest = write_manifest(tmp_path, make_tiny_manifest())
+        ckpt = tmp_path / "out" / "checkpoints" / "cf_estimator.npz"
+        save_checkpoint(build_preset("cf_estimator_desk", 8)[0], ckpt)
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"not a zip\n" * 50)
+        code = main(["train-task", str(manifest), "--out", str(tmp_path / "out"), "--deterministic"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cfdistill: error: stage=tasks: {ckpt}: not a readable checkpoint")
+        assert err.count("\n") == 1
 
     def test_output_dir_from_manifest(self, tmp_path):
         m = make_tiny_manifest(output_dir=str(tmp_path / "from_manifest"))

@@ -2,12 +2,13 @@
 
 import errno
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfdistill import fileio
-from cfdistill.experiment import write_results_csv
+from cfdistill.experiment import write_results_csv, write_world
 from cfdistill.fileio import (
     list_audio_files,
     load_float_table,
@@ -20,6 +21,7 @@ from cfdistill.fileio import (
 )
 from cfdistill.nn.network import LayerSpec, build_network, save_checkpoint
 from cfdistill.transfer import ExperimentResult
+from cfdistill.world import WorldConfig, generate_world
 
 
 class TestFloatTable:
@@ -60,6 +62,14 @@ class TestFloatTable:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_float_table(path)
+
+    @pytest.mark.parametrize("extra", range(1, 9))
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "t.ftab"
+        save_float_table(path, ["a", "b"], np.ones((2, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(ValueError, match=f"t.ftab: {extra} bytes after the float table"):
             load_float_table(path)
 
 
@@ -135,6 +145,10 @@ class _FullDisk:
         self.budget -= len(data)
         return self.fh.write(data)
 
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
     def __getattr__(self, name):
         return getattr(self.fh, name)
 
@@ -197,3 +211,26 @@ class TestAtomicWrites:
             write(tmp_path / name, 2)
         after = {p: (tmp_path / p).read_bytes() for p in os.listdir(tmp_path) if p != "fresh"}
         assert after == before
+
+
+@pytest.mark.parametrize("target", ["logs.tsv", "labels.csv"])
+def test_write_world_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, target):
+    """``write_world`` writes its text files atomically too: a rewrite that
+    fails part way through ``target`` leaves the previous ``target`` and no
+    temp file."""
+    config = WorldConfig(n_users=8, n_items=5, seed=1, duration=0.125)
+    write_world(generate_world(config), tmp_path, audio=False)
+    before = (tmp_path / target).read_bytes()
+    assert len(before) > 40
+    real_open = open
+
+    def open_failing_target(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return _FullDisk(fh, 40) if Path(path).name.startswith(f".{target}.") else fh
+
+    monkeypatch.setattr(fileio, "open", open_failing_target, raising=False)
+    second = generate_world(WorldConfig(n_users=8, n_items=5, seed=2, duration=0.125))
+    with pytest.raises(OSError, match="No space left"):
+        write_world(second, tmp_path, audio=False)
+    assert (tmp_path / target).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["labels.csv", "latents.ftab", "logs.tsv"]

@@ -1,6 +1,7 @@
 """Architecture presets, shape traces, checkpoints, end-to-end gradients."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,29 @@ class TestCheckpoints:
 
         rewrite_checkpoint(path, edit)
         with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, match", [
+        ("truncated", "not a readable checkpoint: File is not a zip file"),
+        ("not_a_zip", "not a readable checkpoint"),
+        ("no_arch", "checkpoint has no 'arch' record"),
+        ("bad_json", "not a readable checkpoint: Expecting property name"),
+    ])
+    def test_damaged_file_rejected_naming_it(self, tmp_path, damage, match):
+        model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        elif damage == "not_a_zip":
+            path.write_bytes(b"\x00" * 64)
+        else:
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files if k != "arch"}
+            if damage == "bad_json":
+                arrays["arch"] = np.frombuffer(b"{not json", dtype=np.uint8)
+            np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
             load_checkpoint(path)
 
     def test_unknown_preset_rejected(self):
