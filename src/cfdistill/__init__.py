@@ -4,7 +4,6 @@ estimator network, and knowledge-transfer regimes for task models."""
 from .als import (
     AlsConfig,
     CfEmbedding,
-    ListeningLog,
     UserItemMatrix,
     als_fit,
     als_solve_side,
@@ -36,7 +35,6 @@ from .transfer import (
     ExperimentResult,
     RegimeConfig,
     TaskData,
-    TaskModel,
     TaskSpec,
     TrainConfig,
     distillation_loss,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,15 +18,6 @@ from scipy.linalg import get_lapack_funcs
 
 from . import pool
 from .fileio import load_float_table, save_float_table
-
-
-@dataclass(frozen=True)
-class ListeningLog:
-    """One user-item interaction; ``count`` defaults to a single play."""
-
-    user_id: Hashable
-    item_id: Hashable
-    count: int = 1
 
 
 @dataclass
@@ -105,21 +96,6 @@ class Interactions:
         return len(self.counts)
 
 
-def _log_columns(logs: Iterable[ListeningLog]) -> Interactions:
-    """Columns of a log sequence, ids coded in order of first appearance."""
-    user_index: dict = {}
-    item_index: dict = {}
-    users, items, counts = [], [], []
-    for log in logs:
-        users.append(user_index.setdefault(log.user_id, len(user_index)))
-        items.append(item_index.setdefault(log.item_id, len(item_index)))
-        counts.append(log.count)
-    return Interactions(
-        list(user_index), list(item_index), np.asarray(users, dtype=np.int64),
-        np.asarray(items, dtype=np.int64), np.asarray(counts),
-    )
-
-
 def _first_appearance(codes, ids):
     """``codes`` renumbered 0, 1, ... in order of first appearance, and the ids
     of the renumbered codes in that order (ids no entry uses are dropped)."""
@@ -130,16 +106,13 @@ def _first_appearance(codes, ids):
     return rank[inverse], [ids[c] for c in used[order].tolist()]
 
 
-def build_interaction_matrix(logs: Union[Interactions, Iterable[ListeningLog]]) -> UserItemMatrix:
-    """Aggregate logs, as columns or as ``ListeningLog`` records, into a
-    sparse count matrix.
+def build_interaction_matrix(logs: Interactions) -> UserItemMatrix:
+    """Aggregate interaction columns into a sparse count matrix.
 
     Duplicate (user, item) pairs sum their counts; users and items are
-    indexed in order of first appearance so the result is deterministic
-    for a given log sequence.
+    indexed in order of first appearance in the columns (ids no entry uses
+    are dropped), so the result is deterministic for given columns.
     """
-    if not isinstance(logs, Interactions):
-        logs = _log_columns(logs)
     if not len(logs):
         raise ValueError("cannot build an interaction matrix from an empty log")
     low = np.flatnonzero(logs.counts < 1)
@@ -154,9 +127,15 @@ def build_interaction_matrix(logs: Union[Interactions, Iterable[ListeningLog]]) 
     return UserItemMatrix(counts, user_ids, item_ids)
 
 
-def parse_log_file(path) -> list[ListeningLog]:
-    """Parse tab-separated ``user_id<TAB>item_id[<TAB>count]`` lines."""
-    logs = []
+def parse_log_file(path) -> Interactions:
+    """Parse tab-separated ``user_id<TAB>item_id[<TAB>count]`` lines (count
+    defaults to 1, blank lines are skipped) into columns, coding user and
+    item ids in order of first appearance as each line is read.  A bad line
+    raises ``ValueError`` naming ``path:lineno``; a line cut short can still
+    parse, so a truncated file is not detected."""
+    user_index: dict = {}
+    item_index: dict = {}
+    users, items, counts = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -164,10 +143,8 @@ def parse_log_file(path) -> list[ListeningLog]:
                 continue
             parts = line.split("\t")
             if len(parts) == 2:
-                user, item = parts
                 count = 1
             elif len(parts) == 3:
-                user, item = parts[:2]
                 try:
                     count = int(parts[2])
                 except ValueError:
@@ -181,10 +158,15 @@ def parse_log_file(path) -> list[ListeningLog]:
                 )
             if count < 1:
                 raise ValueError(f"{path}:{lineno}: count must be >= 1")
-            logs.append(ListeningLog(user, item, count))
-    if not logs:
+            users.append(user_index.setdefault(parts[0], len(user_index)))
+            items.append(item_index.setdefault(parts[1], len(item_index)))
+            counts.append(count)
+    if not counts:
         raise ValueError(f"{path}: log file contains no interactions")
-    return logs
+    return Interactions(
+        list(user_index), list(item_index), np.array(users, dtype=np.int64),
+        np.array(items, dtype=np.int64), np.array(counts),
+    )
 
 
 def confidence(r, alpha):

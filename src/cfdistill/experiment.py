@@ -29,7 +29,6 @@ from .als import (
     build_interaction_matrix,
     als_fit,
     item_vector,
-    load_embedding,
     parse_log_file,
     save_embedding,
 )
@@ -269,19 +268,27 @@ def write_world(world: World, out_dir, audio=True):
 
 
 def _load_labels_csv(path, kind):
+    """``{item_id: label}``; a malformed line raises ``ValueError`` naming ``path:lineno``."""
+    parse, kind_name = (int, "an integer") if kind == "classification" else (float, "a number")
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != "item_id,label":
             raise ValueError(f"{path}: expected header 'item_id,label'")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            item_id, value = line.split(",")
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+            item_id, value = fields
             if item_id in labels:
-                raise ValueError(f"{path}: duplicate item id {item_id!r}")
-            labels[item_id] = int(value) if kind == "classification" else float(value)
+                raise ValueError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+            try:
+                labels[item_id] = parse(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: label {value!r} is not {kind_name}") from None
     return labels
 
 
@@ -389,10 +396,7 @@ def _stage_estimator(ctx):
     config = ctx["train"]
     n_est = _split_counts(ctx)
     est_ids = ctx["item_ids"][:n_est]
-    embedding = ctx.get("embedding")
-    if embedding is None:
-        embedding = load_embedding(ctx["out_dir"] / "embeddings" / "item_embeddings.ftab")
-        ctx["embedding"] = embedding
+    embedding = ctx["embedding"]
     targets = np.stack([item_vector(embedding, i) for i in est_ids], axis=0)
     if ctx["normalize_targets"]:
         norms = np.linalg.norm(targets, axis=1, keepdims=True)
@@ -506,7 +510,7 @@ def _stage_tasks(ctx):
                     (row.values() for row in result.curve),
                 )
                 save_checkpoint(
-                    model.network,
+                    model,
                     out_dir / "checkpoints" / f"task_{cell}.npz",
                     extra={"regime": regime.regime, "cell": cell},
                 )

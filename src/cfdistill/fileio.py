@@ -145,15 +145,28 @@ def write_raw_float32(path, samples, sample_rate):
 
 
 def read_raw_float32(path):
-    """Read a raw float32 waveform written by :func:`write_raw_float32`."""
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.loads(fh.read())
-    data = np.fromfile(path, dtype="<f4")
-    if data.size != sidecar["length"]:
+    """Read a raw float32 waveform written by :func:`write_raw_float32`.
+
+    The sidecar must be a JSON object with int ``sample_rate`` and
+    ``length``, and the file exactly ``4 * length`` bytes; anything else
+    raises ``ValueError`` naming the file.
+    """
+    sidecar_path = f"{path}.json"
+    with open(sidecar_path, "rb") as fh:
+        try:
+            sidecar = json.loads(fh.read())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ValueError(f"{sidecar_path}: sidecar is not JSON ({exc})") from None
+    if not (isinstance(sidecar, dict)
+            and all(type(sidecar.get(k)) is int for k in ("sample_rate", "length"))):
+        raise ValueError(f"{sidecar_path}: sidecar must be a JSON object with int "
+                         f"'sample_rate' and 'length', got {sidecar!r:.80}")
+    length, size = sidecar["length"], os.path.getsize(path)
+    if size != 4 * length:
         raise ValueError(
-            f"{path}: sidecar says {sidecar['length']} samples, file has {data.size}"
+            f"{path}: sidecar says {length} samples ({4 * length} bytes), file has {size} bytes"
         )
-    return data.astype(np.float64), int(sidecar["sample_rate"])
+    return np.fromfile(path, dtype="<f4").astype(np.float64), sidecar["sample_rate"]
 
 
 def list_audio_files(directory):

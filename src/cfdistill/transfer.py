@@ -138,18 +138,6 @@ class ExperimentResult:
     curve: list = field(default_factory=list)
 
 
-@dataclass
-class TaskModel:
-    """The task network: the estimator's schedule, then the task head as its
-    last layer (what a task checkpoint holds)."""
-
-    network: NetworkModel
-
-    @property
-    def head(self) -> FullyConnected:
-        return self.network.layers[-1]
-
-
 def distillation_loss(penultimate, estimated_cf):
     """MSE plus cosine proximity between activation and estimated embedding.
 
@@ -288,7 +276,7 @@ def train_task(
     fold: int = 0,
     teacher=None,
 ):
-    """Train one task model under one regime; returns (TaskModel, result).
+    """Train one task model under one regime; returns (network, result).
 
     The task network is the estimator's schedule plus a ``fully_connected``
     head as its last layer.  fix, init and kd require a trained estimator
@@ -368,4 +356,4 @@ def train_task(
         epochs_run=epochs_run,
         curve=curve,
     )
-    return TaskModel(network), result
+    return network, result

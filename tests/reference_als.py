@@ -1,7 +1,7 @@
 """Slow references kept as oracles for the fast ingest path in ``cfdistill.als``.
 
-``build_interaction_matrix`` walks a ``ListeningLog`` sequence one record at
-a time with two id dicts; ``als_solve_side`` solves each row through scipy's
+``build_interaction_matrix`` walks ``(user_id, item_id, count)`` records one
+at a time with two id dicts; ``als_solve_side`` solves each row through scipy's
 ``cho_factor``/``cho_solve`` wrappers, with ``alpha * r`` formed per row and
 the ridge added as ``reg * eye``.  Both were the library's code before the
 columnar builder and the direct ``potrf``/``potrs`` calls replaced them; the
@@ -16,11 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from cfdistill.als import AlsConfig, ListeningLog, UserItemMatrix
+from cfdistill.als import AlsConfig, UserItemMatrix
 
 
-def build_interaction_matrix(logs: Sequence[ListeningLog]) -> UserItemMatrix:
-    """Aggregate logs into a sparse count matrix.
+def build_interaction_matrix(logs: Sequence[tuple]) -> UserItemMatrix:
+    """Aggregate ``(user_id, item_id, count)`` records into a sparse count matrix.
 
     Duplicate (user, item) pairs sum their counts; users and items are
     indexed in order of first appearance so the result is deterministic
@@ -34,18 +34,18 @@ def build_interaction_matrix(logs: Sequence[ListeningLog]) -> UserItemMatrix:
     user_index: dict = {}
     item_index: dict = {}
     rows, cols, vals = [], [], []
-    for log in logs:
-        if log.count < 1:
-            raise ValueError(f"log count must be >= 1, got {log.count}")
-        u = user_index.setdefault(log.user_id, len(user_ids))
+    for user_id, item_id, count in logs:
+        if count < 1:
+            raise ValueError(f"log count must be >= 1, got {count}")
+        u = user_index.setdefault(user_id, len(user_ids))
         if u == len(user_ids):
-            user_ids.append(log.user_id)
-        i = item_index.setdefault(log.item_id, len(item_ids))
+            user_ids.append(user_id)
+        i = item_index.setdefault(item_id, len(item_ids))
         if i == len(item_ids):
-            item_ids.append(log.item_id)
+            item_ids.append(item_id)
         rows.append(u)
         cols.append(i)
-        vals.append(log.count)
+        vals.append(count)
     counts = sp.coo_matrix(
         (np.asarray(vals, dtype=np.float64), (rows, cols)),
         shape=(len(user_ids), len(item_ids)),

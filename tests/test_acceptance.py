@@ -178,10 +178,10 @@ def test_criterion_5_regime_contracts():
         RegimeConfig(regime="kd", kd_weight=0.0, **common),
         cf_estimator=estimator,
     )
-    for key, value in base_model.network.get_state().items():
-        np.testing.assert_array_equal(kd0_model.network.get_state()[key], value, err_msg=key)
-    for key in base_model.head.params:
-        np.testing.assert_array_equal(kd0_model.head.params[key], base_model.head.params[key])
+    for key, value in base_model.get_state().items():
+        np.testing.assert_array_equal(kd0_model.get_state()[key], value, err_msg=key)
+    for key, value in base_model.layers[-1].params.items():
+        np.testing.assert_array_equal(kd0_model.layers[-1].params[key], value)
 
     frozen = estimator.get_state()
     fix_model, _ = train_task(
@@ -190,7 +190,7 @@ def test_criterion_5_regime_contracts():
         cf_estimator=estimator,
     )
     for key, value in frozen.items():
-        np.testing.assert_array_equal(fix_model.network.get_state()[key], value, err_msg=key)
+        np.testing.assert_array_equal(fix_model.get_state()[key], value, err_msg=key)
 
     init_model, _ = train_task(
         task, data, TINY_SPECS, TINY_SHAPE, 2,
@@ -198,7 +198,7 @@ def test_criterion_5_regime_contracts():
         cf_estimator=estimator,
     )
     for key, value in estimator.get_state().items():
-        np.testing.assert_array_equal(init_model.network.get_state()[key], value, err_msg=key)
+        np.testing.assert_array_equal(init_model.get_state()[key], value, err_msg=key)
 
     print("\nPASS criterion 5: kd(0)==base bitwise; fix frozen; init starts at estimator")
 

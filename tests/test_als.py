@@ -6,7 +6,6 @@ import pytest
 from cfdistill.als import (
     AlsConfig,
     CfEmbedding,
-    ListeningLog,
     als_fit,
     als_solve_side,
     build_interaction_matrix,
@@ -17,25 +16,26 @@ from cfdistill.als import (
     save_embedding,
     weighted_loss,
 )
+from log_columns import interactions
 
 
 def random_matrix(rng, n_users, n_items, density=0.3, max_count=5):
     """Random instance in which every user and item appears at least once."""
     logs = [
-        ListeningLog(f"u{u}", f"i{u % n_items}", int(rng.integers(1, max_count + 1)))
+        (f"u{u}", f"i{u % n_items}", int(rng.integers(1, max_count + 1)))
         for u in range(n_users)
     ]
     logs += [
-        ListeningLog(f"u{i % n_users}", f"i{i}", int(rng.integers(1, max_count + 1)))
+        (f"u{i % n_users}", f"i{i}", int(rng.integers(1, max_count + 1)))
         for i in range(n_items)
     ]
     for u in range(n_users):
         for i in range(n_items):
             if rng.random() < density:
                 logs.append(
-                    ListeningLog(f"u{u}", f"i{i}", int(rng.integers(1, max_count + 1)))
+                    (f"u{u}", f"i{i}", int(rng.integers(1, max_count + 1)))
                 )
-    return build_interaction_matrix(logs)
+    return build_interaction_matrix(interactions(logs))
 
 
 def dense_solve_oracle(fixed, matrix, config, side):
@@ -83,37 +83,37 @@ def dense_loss_oracle(matrix, emb, config):
 class TestBuildInteractionMatrix:
     def test_distinct_pairs_one_entry_each(self):
         logs = [
-            ListeningLog("a", "x"),
-            ListeningLog("b", "y"),
-            ListeningLog("c", "z"),
+            ("a", "x", 1),
+            ("b", "y", 1),
+            ("c", "z", 1),
         ]
-        m = build_interaction_matrix(logs)
+        m = build_interaction_matrix(interactions(logs))
         assert m.nnz == 3
         assert (m.n_users, m.n_items) == (3, 3)
 
     def test_duplicates_aggregate_by_sum(self):
         logs = [
-            ListeningLog("u1", "i1"),
-            ListeningLog("u1", "i1"),
-            ListeningLog("u1", "i2"),
+            ("u1", "i1", 1),
+            ("u1", "i1", 1),
+            ("u1", "i2", 1),
         ]
-        m = build_interaction_matrix(logs)
+        m = build_interaction_matrix(interactions(logs))
         assert m.nnz == 2
         assert m.counts[m.user_index["u1"], m.item_index["i1"]] == 2
         assert m.counts[m.user_index["u1"], m.item_index["i2"]] == 1
 
     def test_empty_logs_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_interaction_matrix([])
+            build_interaction_matrix(interactions([]))
 
     def test_dimensions_match_distinct_ids(self):
         rng = np.random.default_rng(0)
         logs = [
-            ListeningLog(f"u{rng.integers(8)}", f"i{rng.integers(12)}") for _ in range(60)
+            (f"u{rng.integers(8)}", f"i{rng.integers(12)}", 1) for _ in range(60)
         ]
-        m = build_interaction_matrix(logs)
-        assert m.n_users == len({log.user_id for log in logs})
-        assert m.n_items == len({log.item_id for log in logs})
+        m = build_interaction_matrix(interactions(logs))
+        assert m.n_users == len({user for user, _, _ in logs})
+        assert m.n_items == len({item for _, item, _ in logs})
 
 
 class TestConfidence:
@@ -136,7 +136,7 @@ class TestAlsSolveSide:
         # One user, one item, one play, one factor:
         # x = (1 + alpha) * y / (y^2 (1 + alpha) + lambda)
         y, lam, alpha = 0.7, 0.3, 5.0
-        m = build_interaction_matrix([ListeningLog("u", "i", 1)])
+        m = build_interaction_matrix(interactions([("u", "i", 1)]))
         config = AlsConfig(n_factors=1, reg_lambda=lam, alpha=alpha, scale_reg_by_count=False)
         fixed = np.array([[y]])
         x = als_solve_side(fixed, m, config, "user")
@@ -193,7 +193,7 @@ class TestAlsSolveSide:
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_degenerate_row_gets_zero_vector(self):
-        m = build_interaction_matrix([ListeningLog("u0", "i0"), ListeningLog("u1", "i0")])
+        m = build_interaction_matrix(interactions([("u0", "i0", 1), ("u1", "i0", 1)]))
         # item matrix has an all-zero row only if an item never occurs; force
         # a user row instead by solving the item side: i0 is the only item.
         config = AlsConfig(n_factors=2, reg_lambda=0.1, alpha=1.0)
@@ -202,7 +202,7 @@ class TestAlsSolveSide:
         assert got.shape == (1, 2)
 
     def test_dimension_mismatch_rejected(self):
-        m = build_interaction_matrix([ListeningLog("u", "i")])
+        m = build_interaction_matrix(interactions([("u", "i", 1)]))
         config = AlsConfig(n_factors=3)
         with pytest.raises(ValueError, match="columns"):
             als_solve_side(np.ones((1, 2)), m, config, "user")
@@ -227,8 +227,8 @@ class TestWeightedLoss:
 
     def test_exact_fit_has_zero_data_term(self):
         # identity pattern: x_u = e_u, y_i = e_i reproduces p exactly
-        logs = [ListeningLog("u0", "i0"), ListeningLog("u1", "i1")]
-        m = build_interaction_matrix(logs)
+        logs = [("u0", "i0", 1), ("u1", "i1", 1)]
+        m = build_interaction_matrix(interactions(logs))
         emb = CfEmbedding(
             item_vectors=np.eye(2),
             user_vectors=np.eye(2),
@@ -254,7 +254,7 @@ class TestWeightedLoss:
         )
 
     def test_dimension_mismatch_rejected(self):
-        m = build_interaction_matrix([ListeningLog("u", "i")])
+        m = build_interaction_matrix(interactions([("u", "i", 1)]))
         emb = CfEmbedding(
             item_vectors=np.ones((2, 3)),
             user_vectors=np.ones((1, 3)),
@@ -301,12 +301,12 @@ class TestAlsFit:
         scores = np.outer(u_true, v_true)
         threshold = np.median(scores)
         logs = [
-            ListeningLog(f"u{u}", f"i{i}")
+            (f"u{u}", f"i{i}", 1)
             for u in range(10)
             for i in range(12)
             if scores[u, i] > threshold
         ]
-        m = build_interaction_matrix(logs)
+        m = build_interaction_matrix(interactions(logs))
         config = AlsConfig(n_factors=1, reg_lambda=0.05, alpha=40.0, n_iterations=20, seed=0)
         emb = als_fit(m, config)
         pred = emb.user_vectors @ emb.item_vectors.T
@@ -357,7 +357,9 @@ class TestLogParsing:
         path = tmp_path / "logs.tsv"
         path.write_text("alice\tsong1\nbob\tsong2\t3\n", encoding="utf-8")
         logs = parse_log_file(path)
-        assert logs == [ListeningLog("alice", "song1", 1), ListeningLog("bob", "song2", 3)]
+        assert (logs.user_ids, logs.item_ids) == (["alice", "bob"], ["song1", "song2"])
+        for column, want in [(logs.users, [0, 1]), (logs.items, [0, 1]), (logs.counts, [1, 3])]:
+            assert column.dtype == np.int64 and column.tolist() == want
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

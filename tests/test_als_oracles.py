@@ -23,7 +23,6 @@ import cfdistill
 import reference_als as ref
 from cfdistill.als import (
     AlsConfig,
-    ListeningLog,
     UserItemMatrix,
     als_fit,
     als_solve_side,
@@ -32,18 +31,29 @@ from cfdistill.als import (
 )
 from cfdistill.experiment import write_world
 from cfdistill.world import WorldConfig, generate_world
+from log_columns import interactions
 
 # Sparse enough that some of the 60 users never play any of the 20 items.
 SPARSE_WORLD = WorldConfig(n_users=60, n_items=20, seed=3, affinity_offset=-4.0, duration=0.125)
 
 
 def random_logs(rng, n_users, n_items, n_logs, max_count=6):
-    """Seeded log records in random order, with repeated (user, item) pairs."""
+    """Seeded ``(user_id, item_id, count)`` records in random order, with
+    repeated (user, item) pairs."""
     return [
-        ListeningLog(f"u{rng.integers(n_users)}", f"i{rng.integers(n_items)}",
-                     int(rng.integers(1, max_count + 1)))
+        (f"u{rng.integers(n_users)}", f"i{rng.integers(n_items)}",
+         int(rng.integers(1, max_count + 1)))
         for _ in range(n_logs)
     ]
+
+
+def parsed_matrix(records, path):
+    """``records`` written as ``logs.tsv`` lines (a count of 1 with no count
+    field), then read back by ``parse_log_file`` into a matrix."""
+    path.write_text("".join(
+        f"{u}\t{i}\n" if c == 1 else f"{u}\t{i}\t{c}\n" for u, i, c in records
+    ), encoding="utf-8")
+    return build_interaction_matrix(parse_log_file(path))
 
 
 def assert_same_matrix(got, want):
@@ -73,41 +83,40 @@ def matrix_with_short_rows(rng, n_users=9, n_items=7):
 
 class TestBuilderMatchesReference:
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_records(self, seed):
+    def test_random_records(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         logs = random_logs(rng, 30, 25, 400)
-        assert_same_matrix(build_interaction_matrix(logs), ref.build_interaction_matrix(logs))
+        assert_same_matrix(parsed_matrix(logs, tmp_path / "logs.tsv"),
+                           ref.build_interaction_matrix(logs))
 
-    def test_one_record(self):
-        logs = [ListeningLog("u", "i", 2)]
-        assert_same_matrix(build_interaction_matrix(logs), ref.build_interaction_matrix(logs))
-
-    def test_generator_input(self):
-        logs = random_logs(np.random.default_rng(7), 5, 5, 40)
-        got = build_interaction_matrix(log for log in logs)
-        assert_same_matrix(got, ref.build_interaction_matrix(logs))
+    def test_one_record(self, tmp_path):
+        logs = [("u", "i", 2)]
+        assert_same_matrix(parsed_matrix(logs, tmp_path / "logs.tsv"),
+                           ref.build_interaction_matrix(logs))
 
     def test_bad_count_rejected_like_reference(self):
-        logs = [ListeningLog("u", "i", 2), ListeningLog("v", "i", 0)]
+        logs = [("u", "i", 2), ("v", "i", 0)]
         with pytest.raises(ValueError, match="log count must be >= 1, got 0"):
             ref.build_interaction_matrix(logs)
         with pytest.raises(ValueError, match="log count must be >= 1, got 0"):
-            build_interaction_matrix(logs)
+            build_interaction_matrix(interactions(logs))
 
     def test_world_columns(self, tmp_path):
         world = generate_world(SPARSE_WORLD)
         logs = world.interactions
         records = [
-            ListeningLog(logs.user_ids[u], logs.item_ids[i], int(c))
+            (logs.user_ids[u], logs.item_ids[i], int(c))
             for u, i, c in zip(logs.users, logs.items, logs.counts)
         ]
         got = build_interaction_matrix(logs)
         assert got.n_users < SPARSE_WORLD.n_users  # a user with no interactions is dropped
         assert_same_matrix(got, ref.build_interaction_matrix(records))
-        # logs.tsv written from the columns is the record-by-record text
+        # logs.tsv written from the columns is the record-by-record text,
+        # and parses back to the same matrix
         write_world(world, tmp_path)
-        text = "".join(f"{r.user_id}\t{r.item_id}\t{r.count}\n" for r in records)
+        text = "".join(f"{u}\t{i}\t{c}\n" for u, i, c in records)
         assert (tmp_path / "logs.tsv").read_text(encoding="utf-8") == text
+        assert_same_matrix(build_interaction_matrix(parse_log_file(tmp_path / "logs.tsv")), got)
 
 
 class TestSolveMatchesReference:
@@ -128,7 +137,7 @@ class TestSolveMatchesReference:
     @pytest.mark.parametrize("scale_reg_by_count", [True, False])
     def test_fit_bitwise_equal(self, scale_reg_by_count):
         logs = random_logs(np.random.default_rng(5), 40, 30, 500)
-        m = build_interaction_matrix(logs)
+        m = build_interaction_matrix(interactions(logs))
         config = AlsConfig(n_factors=8, n_iterations=3, seed=4,
                            scale_reg_by_count=scale_reg_by_count)
         emb = als_fit(m, config)

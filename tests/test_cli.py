@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import cfdistill
+from cfdistill import experiment
 from cfdistill.als import load_embedding, item_vector
 from cfdistill.cli import main
-from cfdistill.experiment import load_manifest, validate_manifest, write_results_csv
+from cfdistill.experiment import load_manifest, run_experiment, validate_manifest, write_results_csv
+from cfdistill.features import mel_filterbank, stft_power
 from cfdistill.fileio import load_float_table, write_raw_float32, write_wav
 from cfdistill.nn.network import build_preset, save_checkpoint
 from cfdistill.transfer import ExperimentResult
+from cfdistill.world import generate_world
 
 from conftest import make_tiny_manifest
 
@@ -217,6 +220,74 @@ class TestFeatures:
         write_wav(audio / "x.wav", np.zeros(1000), 22050)
         assert main(["features", str(audio), str(tmp_path / "out")]) == 1
         assert "sample rate" in capsys.readouterr().err
+
+    def test_list_sidecar_is_single_line_error(self, tmp_path, capsys):
+        audio = tmp_path / "audio"
+        write_raw_float32(audio / "a.f32", np.zeros(30000), 16000)
+        (audio / "a.f32.json").write_text("[16000, 30000]\n", encoding="utf-8")
+        assert main(["features", str(audio), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cfdistill: error:") and err.count("\n") == 1
+        assert "a.f32.json: sidecar must be a JSON object" in err
+
+
+class TestDatasetsRoundTrip:
+    def test_generated_world_read_back_as_datasets(self, tmp_path):
+        """``generate-world``, then a ``datasets`` manifest over its output:
+        the same item table bytes and labels as the run that generated the
+        world, and mel grids that differ only by the float32 rounding of
+        ``world/audio``."""
+        manifest = make_tiny_manifest()
+        assert main(["generate-world", str(write_manifest(tmp_path, manifest)),
+                     str(tmp_path / "world")]) == 0
+        read_back = make_tiny_manifest(datasets={
+            "logs": str(tmp_path / "world" / "logs.tsv"),
+            "audio_dir": str(tmp_path / "world" / "audio"),
+            "labels": str(tmp_path / "world" / "labels.csv"),
+        })
+        del read_back["world"]
+        stages = ("world", "als", "features")
+        labels = {}
+        for name, m in (("generated", manifest), ("datasets", read_back)):
+            run_experiment(m, tmp_path / name, deterministic=True, stages=stages)
+            ctx = {**validate_manifest(m), "out_dir": tmp_path / f"{name}_labels"}
+            experiment._stage_world(ctx)
+            labels[name] = dict(zip(ctx["item_ids"], ctx["labels"].tolist()))
+
+        table = Path("embeddings") / "item_embeddings.ftab"
+        generated, datasets = tmp_path / "generated", tmp_path / "datasets"
+        assert (datasets / table).read_bytes() == (generated / table).read_bytes()
+        assert labels["datasets"] == labels["generated"]
+
+        settings = validate_manifest(manifest)
+        world = generate_world(settings["world"])
+        config = settings["features"]
+        for item_id, wave in zip(world.item_ids, world.waveforms):
+            _, want, _ = load_float_table(generated / "features" / f"{item_id}.ftab")
+            _, got, _ = load_float_table(datasets / "features" / f"{item_id}.ftab")
+            bound = float32_grid_bound(wave, config)
+            assert np.all(np.abs(got - want) <= 1.01 * bound), item_id
+
+
+def float32_grid_bound(wave, config):
+    """Largest change in each log-mel entry of ``wave`` when its samples are
+    rounded to float32, which moves each sample by at most u = 2**-24 of
+    its size.
+
+    Per frame, the rounding error e (padded and windowed like the samples)
+    changes each FFT bin by at most |E| <= ||w e||_1 <= sqrt(n_fft) u ||w s||_2,
+    which by Parseval is u sqrt(power summed over all n_fft bins) <= u sqrt(2 S),
+    S the one-sided sum of the power spectrum P.  A bin's power moves by at
+    most 2 sqrt(P) |E| + |E|**2, a mel band's by D = filterbank @ that, and
+    log10(M + floor) by at most -log10(1 - D / (M + floor)).  The test allows
+    1 % more for the float64 rounding of both grids.
+    """
+    power = stft_power(wave, config)
+    err = 2.0**-24 * np.sqrt(2.0 * power.sum(axis=0))
+    fb = mel_filterbank(config)
+    change = fb @ (2.0 * np.sqrt(power) * err + err**2)
+    level = fb @ power + config.log_floor
+    return -np.log10(1.0 - np.minimum(change / level, 1.0))
 
 
 class TestManifestCommands:

@@ -262,6 +262,22 @@ class TestDatasetMode:
         with pytest.raises(StageError, match="stage=world.*duplicate item id 'song03'"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
 
+    @pytest.mark.parametrize("line, message", [
+        ("song03,0,1", "expected 2 fields, got 3"),
+        ("song03", "expected 2 fields, got 1"),
+        ("song03,zero", "label 'zero' is not an integer"),
+    ])
+    def test_malformed_label_line_names_file_and_line(self, tmp_path, line, message):
+        datasets = self._write_dataset(tmp_path / "data")
+        path = Path(datasets["labels"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[4] = line  # line 5 of the file, after the header
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = make_tiny_manifest(datasets=datasets)
+        del manifest["world"]
+        with pytest.raises(StageError, match=f"stage=world.*labels.csv:5: {message}"):
+            run_experiment(manifest, tmp_path / "out", deterministic=True)
+
     def test_missing_dataset_path_fails_in_world_stage(self, tmp_path):
         manifest = make_tiny_manifest(
             datasets={"logs": "/nonexistent", "audio_dir": "/nope", "labels": "/nada"}

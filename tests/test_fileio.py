@@ -107,6 +107,28 @@ class TestRawFloat32:
         with pytest.raises(ValueError, match="sidecar"):
             read_raw_float32(path)
 
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "e.f32"
+        write_raw_float32(path, np.zeros(100), 16000)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * extra)
+        with pytest.raises(ValueError, match=f"e.f32: sidecar says 100 samples .* {400 + extra} bytes"):
+            read_raw_float32(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"length": 100}', "sidecar must be a JSON object with int 'sample_rate' and 'length'"),
+        ('{"sample_rate": 16000}', "sidecar must be a JSON object with int 'sample_rate' and 'length'"),
+        ("[16000, 100]", r"sidecar must be a JSON object .*, got \[16000, 100\]"),
+        ("sample_rate=16000", "sidecar is not JSON"),
+    ])
+    def test_malformed_sidecar_rejected(self, tmp_path, text, message):
+        path = tmp_path / "g.f32"
+        write_raw_float32(path, np.zeros(100), 16000)
+        Path(f"{path}.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"g.f32.json: {message}"):
+            read_raw_float32(path)
+
 
 class TestAudioDirectory:
     def test_lists_and_reads_both_formats(self, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfdistill import transfer
+from cfdistill.nn.layers import FullyConnected
 from cfdistill.nn.network import LayerSpec, build_network, double_conv
 from cfdistill.transfer import (
     RegimeConfig,
@@ -151,12 +152,10 @@ class TestRegimeContracts:
             RegimeConfig(regime="kd", kd_weight=0.0, **common),
             cf_estimator=estimator,
         )
-        for key, value in base_model.network.get_state().items():
-            np.testing.assert_array_equal(kd_model.network.get_state()[key], value, err_msg=key)
-        for key in base_model.head.params:
-            np.testing.assert_array_equal(
-                kd_model.head.params[key], base_model.head.params[key]
-            )
+        for key, value in base_model.get_state().items():
+            np.testing.assert_array_equal(kd_model.get_state()[key], value, err_msg=key)
+        for key, value in base_model.layers[-1].params.items():
+            np.testing.assert_array_equal(kd_model.layers[-1].params[key], value)
         assert kd_result.metric_value == base_result.metric_value
 
     def test_fix_freezes_backbone_bitwise(self):
@@ -171,7 +170,7 @@ class TestRegimeContracts:
             cf_estimator=estimator,
         )
         for key, value in frozen_before.items():
-            np.testing.assert_array_equal(model.network.get_state()[key], value, err_msg=key)
+            np.testing.assert_array_equal(model.get_state()[key], value, err_msg=key)
         assert result.epochs_run == 4
 
     def test_init_starts_from_estimator_then_diverges(self):
@@ -185,14 +184,14 @@ class TestRegimeContracts:
             cf_estimator=estimator,
         )
         for key, value in estimator.get_state().items():
-            np.testing.assert_array_equal(model0.network.get_state()[key], value, err_msg=key)
+            np.testing.assert_array_equal(model0.get_state()[key], value, err_msg=key)
         model_k, _ = train_task(
             task, data, TINY_SPECS, TINY_SHAPE, 2,
             RegimeConfig(regime="init", epochs=3, batch_size=8, seed=6),
             cf_estimator=estimator,
         )
         diffs = [
-            np.max(np.abs(model_k.network.get_state()[k] - v))
+            np.max(np.abs(model_k.get_state()[k] - v))
             for k, v in estimator.named_params().items()
         ]
         assert max(diffs) > 0.0
@@ -225,8 +224,8 @@ class TestRegimeContracts:
             for given in (None, teacher)
         ]
         (model_a, result_a), (model_b, result_b) = runs
-        for key, value in model_a.network.get_state().items():
-            np.testing.assert_array_equal(model_b.network.get_state()[key], value, err_msg=key)
+        for key, value in model_a.get_state().items():
+            np.testing.assert_array_equal(model_b.get_state()[key], value, err_msg=key)
         assert result_a.curve == result_b.curve
         assert result_a.metric_value == result_b.metric_value
 
@@ -237,10 +236,10 @@ class TestRegimeContracts:
             TaskSpec(kind="classification", n_classes=3), data, TINY_SPECS, TINY_SHAPE, 2,
             RegimeConfig(regime="base", epochs=1, batch_size=8, seed=9),
         )
-        assert model.head is model.network.layers[-1]
-        assert model.network.specs == [*TINY_SPECS, LayerSpec("fully_connected", width=3)]
-        assert model.network.output_shape == (3,)
-        assert predict_network(model.network, data.features).shape == (24, 3)
+        assert isinstance(model.layers[-1], FullyConnected)
+        assert model.specs == [*TINY_SPECS, LayerSpec("fully_connected", width=3)]
+        assert model.output_shape == (3,)
+        assert predict_network(model, data.features).shape == (24, 3)
 
     def test_transfer_regimes_require_estimator(self):
         rng = np.random.default_rng(11)
@@ -281,7 +280,7 @@ class TestRegimeContracts:
                 RegimeConfig(regime="kd", epochs=3, batch_size=8, seed=21),
                 cf_estimator=estimator,
             )
-            return model.network.get_state()
+            return model.get_state()
 
         a, b = run(), run()
         for key, value in a.items():
@@ -315,10 +314,10 @@ class TestEarlyStopping:
         assert result.epochs_run < epochs
         assert result.epochs_run == best_epoch + patience + 1
         best_state = snapshots[best_epoch]
-        state = model.network.get_state()
+        state = model.get_state()
         # The whole task network, head included: every parameter and buffer.
         assert sorted(state) == sorted(best_state)
-        head_index = len(model.network.layers) - 1
+        head_index = len(model.layers) - 1
         assert {f"{head_index}.w", f"{head_index}.b"} <= set(state)
         for key, value in state.items():
             np.testing.assert_array_equal(value, best_state[key], err_msg=key)
