@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from . import pool
-from .fileio import load_float_table, save_float_table
+from .fileio import load_float_table, save_float_table, text_lines
 
 
 @dataclass
@@ -131,36 +131,36 @@ def parse_log_file(path) -> Interactions:
     """Parse tab-separated ``user_id<TAB>item_id[<TAB>count]`` lines (count
     defaults to 1, blank lines are skipped) into columns, coding user and
     item ids in order of first appearance as each line is read.  A bad line
-    raises ``ValueError`` naming ``path:lineno``; a line cut short can still
-    parse, so a truncated file is not detected."""
+    raises ``ValueError`` naming ``path:lineno``, as does a line that is not
+    UTF-8; a line cut short can still parse, so a truncated file is not
+    detected."""
     user_index: dict = {}
     item_index: dict = {}
     users, items, counts = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) == 2:
-                count = 1
-            elif len(parts) == 3:
-                try:
-                    count = int(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: count {parts[2]!r} is not an integer"
-                    ) from None
-            else:
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) == 2:
+            count = 1
+        elif len(parts) == 3:
+            try:
+                count = int(parts[2])
+            except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: expected 2 or 3 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            if count < 1:
-                raise ValueError(f"{path}:{lineno}: count must be >= 1")
-            users.append(user_index.setdefault(parts[0], len(user_index)))
-            items.append(item_index.setdefault(parts[1], len(item_index)))
-            counts.append(count)
+                    f"{path}:{lineno}: count {parts[2]!r} is not an integer"
+                ) from None
+        else:
+            raise ValueError(
+                f"{path}:{lineno}: expected 2 or 3 tab-separated fields, "
+                f"got {len(parts)}"
+            )
+        if count < 1:
+            raise ValueError(f"{path}:{lineno}: count must be >= 1")
+        users.append(user_index.setdefault(parts[0], len(user_index)))
+        items.append(item_index.setdefault(parts[1], len(item_index)))
+        counts.append(count)
     if not counts:
         raise ValueError(f"{path}: log file contains no interactions")
     return Interactions(

@@ -48,6 +48,16 @@ from .world import World, WorldConfig, generate_world
 
 SCHEMA_VERSION = 1
 ALL_STAGES = ("world", "als", "features", "estimator", "tasks")
+# The stages whose outputs each stage reads; they must run before it in the
+# same call.  tasks reads the estimator from its checkpoint when the
+# estimator stage has not run.
+STAGE_INPUTS = {
+    "world": (),
+    "als": ("world",),
+    "features": ("world",),
+    "estimator": ("als", "features"),
+    "tasks": ("features",),
+}
 # results.csv columns and the type each is read back as
 RESULT_COLUMNS = {"task": str, "regime": str, "channels": int, "seed": int, "fold": int,
                   "metric": float, "epochs": int, "seconds": float}
@@ -268,27 +278,27 @@ def write_world(world: World, out_dir, audio=True):
 
 
 def _load_labels_csv(path, kind):
-    """``{item_id: label}``; a malformed line raises ``ValueError`` naming ``path:lineno``."""
+    """``{item_id: label}``; a malformed line, or one that is not UTF-8, raises
+    ``ValueError`` naming ``path:lineno``."""
     parse, kind_name = (int, "an integer") if kind == "classification" else (float, "a number")
     labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "item_id,label":
-            raise ValueError(f"{path}: expected header 'item_id,label'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-            item_id, value = fields
-            if item_id in labels:
-                raise ValueError(f"{path}:{lineno}: duplicate item id {item_id!r}")
-            try:
-                labels[item_id] = parse(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: label {value!r} is not {kind_name}") from None
+    lines = fileio.text_lines(path)
+    if next(lines, (1, ""))[1].strip() != "item_id,label":
+        raise ValueError(f"{path}: expected header 'item_id,label'")
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+        item_id, value = fields
+        if item_id in labels:
+            raise ValueError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+        try:
+            labels[item_id] = parse(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: label {value!r} is not {kind_name}") from None
     return labels
 
 
@@ -549,8 +559,12 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     """Execute the pipeline; returns the ExperimentResult list.
 
     Any stage failure raises :class:`StageError` naming the stage;
-    artifacts written before the failure remain on disk.
+    artifacts written before the failure remain on disk.  An unknown stage,
+    or one listed without a stage it reads from before it, is a ValueError
+    raised before anything runs.
     """
+    stages = tuple(stages)
+    check_stages(stages)
     settings = validate_manifest(manifest)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -571,6 +585,17 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
     return ctx.get("results", [])
+
+
+def check_stages(stages):
+    """Raise ValueError naming the first stage that is unknown or that comes
+    without a stage whose outputs it reads (:data:`STAGE_INPUTS`) before it."""
+    for i, name in enumerate(stages):
+        if name not in STAGE_INPUTS:
+            raise ValueError(f"unknown stage {name!r}; expected one of {ALL_STAGES}")
+        missing = [need for need in STAGE_INPUTS[name] if need not in stages[:i]]
+        if missing:
+            raise ValueError(f"stage {name!r} needs stage {missing[0]!r} to run before it")
 
 
 def read_results_csv(path):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -104,12 +105,13 @@ def stft_power(wave: Waveform, config: FeatureConfig) -> np.ndarray:
             f"waveform of {n} samples is too short for reflect padding of {pad}"
         )
     padded = np.pad(wave.samples, pad, mode="reflect")
-    n_frames = config.n_frames(n)
-    starts = np.arange(n_frames) * config.hop
-    frames = padded[starts[:, None] + np.arange(config.n_fft)[None, :]]
-    frames = frames * hann_window(config.n_fft)[None, :]
-    spectrum = np.fft.rfft(frames, axis=1)
-    return (spectrum.real**2 + spectrum.imag**2).T
+    # Frame t starts at t * hop: every hop-th window of a strided view, so
+    # the windowing product below is the only copy of the frames.
+    frames = sliding_window_view(padded, config.n_fft)[:: config.hop][: config.n_frames(n)]
+    spectrum = np.fft.rfft(frames * hann_window(config.n_fft), axis=1)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    return power.T
 
 
 def hz_to_mel(f):
@@ -163,7 +165,8 @@ def melspectrogram(wave: Waveform, config: FeatureConfig) -> MelSpectrogram:
     """Mel grid of ``wave``: filterbank x power STFT, optionally log10."""
     grid = _shared_filterbank(config) @ stft_power(wave, config)
     if config.log_compress:
-        grid = np.log10(grid + config.log_floor)
+        grid += config.log_floor
+        np.log10(grid, out=grid)
     return MelSpectrogram(grid=grid, config=config)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,30 @@ def load_float_table(path):
     return header["ids"], matrix, header.get("meta", {})
 
 
+def text_lines(path):
+    """``(lineno, line)`` of each line of a UTF-8 text file, from 1.
+
+    A line that is not UTF-8 raises ``ValueError`` naming ``path:lineno``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            lineno = _undecodable_line(path)
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def _undecodable_line(path):
+    """Number of the first line of ``path`` that is not UTF-8.  (Text mode
+    decodes ahead of the line it hands out, so its error has no line.)"""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+
+
 def write_wav(path, samples, sample_rate):
     """Write mono float samples in [-1, 1) as 16-bit PCM."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -118,9 +144,18 @@ def read_wav(path, expect_rate=None):
     """Read a mono 16-bit PCM WAV; returns ``(samples, sample_rate)``.
 
     Samples come back as float64 in [-1, 1).  Stereo files and non-PCM16
-    encodings are rejected; ``expect_rate`` additionally pins the rate.
+    encodings are rejected; ``expect_rate`` additionally pins the rate.  A
+    file the WAV reader cannot parse, or whose data chunk is shorter than
+    its header says, raises ``ValueError`` naming the path.
     """
-    rate, data = wavfile.read(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    # scipy's reader raises UnboundLocalError when the header's chunk sizes
+    # run past the end of the file before any data chunk.
+    except (ValueError, struct.error, wavfile.WavFileWarning, UnboundLocalError) as exc:
+        raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.ndim} channels")
     if data.dtype != np.int16:

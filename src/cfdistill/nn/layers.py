@@ -3,7 +3,11 @@
 Data layout is channels-last: feature maps are (N, H, W, C) and vector
 activations are (N, D).  Every layer returns (output, cache) from
 ``forward`` and (input gradient, parameter gradients) from ``backward``;
-the cache is whatever the backward pass needs and nothing more.
+the cache is whatever the backward pass needs and nothing more.  An
+eval-mode cache of ``BatchNorm``, ``ReLU`` and ``MaxPool`` holds only the
+input it was given: eval forwards mostly run without caches, so they
+build none, and a backward pass after one rebuilds what it needs from
+the input, with the same operations as the train-mode forward.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ class BatchNorm(Layer):
     Train mode normalizes with batch statistics (biased variance) and
     updates the running buffers; eval mode normalizes with the running
     buffers.  Works on (N, H, W, C) and (N, C) inputs alike, as one
-    (rows, C) view; the cache holds the normalized input and 1/std.
+    (rows, C) view.  A train cache holds the normalized input and 1/std;
+    an eval cache holds the (rows, C) input, 1/std and the mean.
     """
 
     def __init__(self, channels, momentum=0.9, eps=1e-5, dtype=np.float64):
@@ -169,16 +174,22 @@ class BatchNorm(Layer):
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
-            xhat = x2 - self.running_mean
-            var = self.running_var
+            mean, var = self.running_mean, self.running_var
+            xhat = x2 - mean
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv
-        out = xhat * self.params["gamma"]
+        # An eval cache keeps no x-hat, so eval scales it in place into the output.
+        gamma = self.params["gamma"]
+        out = xhat * gamma if train else np.multiply(xhat, gamma, out=xhat)
         out += self.params["beta"]
-        return out.reshape(x.shape), (xhat, inv, train)
+        return out.reshape(x.shape), (xhat, inv, None) if train else (x2, inv, mean)
 
     def backward(self, dout, cache):
-        xhat, inv, was_train = cache
+        xhat, inv, eval_mean = cache
+        was_train = eval_mean is None
+        if not was_train:  # an eval cache holds the input: rebuild x-hat
+            xhat = xhat - eval_mean
+            xhat *= inv
         d2 = dout.reshape(xhat.shape)
         dgamma = np.einsum("ij,ij->j", d2, xhat)
         dbeta = _channel_sum(d2)
@@ -196,41 +207,59 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
+    """The cache is the mask ``x > 0`` in train mode and the input in eval."""
+
     def forward(self, x, train=False):
-        return np.maximum(x, 0.0), x > 0
+        return np.maximum(x, 0.0), x > 0 if train else x
 
     def backward(self, dout, cache):
-        return dout * cache, {}
+        mask = cache if cache.dtype == bool else cache > 0
+        return dout * mask, {}
 
 
 class MaxPool(Layer):
     """Non-overlapping window maximum; spatial dims must divide evenly.
 
     The gradient routes to each window's maximum, first occurrence in
-    row-major window order on ties.
+    row-major window order on ties.  The forward pass walks the window
+    offsets as strided views of the (N, Ho, ph, Wo, pw, C) reshape of the
+    input.  The train cache holds that index, (N, Ho, Wo, C); the eval
+    cache is the input.
     """
 
     def __init__(self, pool):
         super().__init__()
         self.ph, self.pw = pool
 
-    def forward(self, x, train=False):
+    def _window_max(self, x, index):
+        """Window maxima, (N, Ho, Wo, C), and with ``index`` the row-major
+        window index of each one's first occurrence (else None)."""
         n, h, w, c = x.shape
         if h % self.ph or w % self.pw:
             raise ValueError(
                 f"spatial dims ({h}, {w}) not divisible by pool ({self.ph}, {self.pw})"
             )
-        ho, wo = h // self.ph, w // self.pw
-        windows = (
-            x.reshape(n, ho, self.ph, wo, self.pw, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(n, ho, wo, self.ph * self.pw, c)
-        )
-        arg = np.argmax(windows, axis=3)
-        out = np.take_along_axis(windows, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        return out, (x.shape, arg)
+        v = x.reshape(n, h // self.ph, self.ph, w // self.pw, self.pw, c)
+        out = v[:, :, 0, :, 0, :].copy()
+        arg = np.zeros(out.shape, dtype=np.intp) if index else None
+        later = np.empty(out.shape, dtype=bool) if index else None
+        for k in range(1, self.ph * self.pw):
+            view = v[:, :, k // self.pw, :, k % self.pw, :]
+            if index:
+                np.greater(view, out, out=later)
+                np.copyto(arg, k, where=later)
+            # np.maximum returns its second operand on ties, so the earlier
+            # value (and the sign of a zero) stays; NaN propagates.
+            np.maximum(view, out, out=out)
+        return out, arg
+
+    def forward(self, x, train=False):
+        out, arg = self._window_max(x, index=train)
+        return out, (x.shape, arg) if train else x
 
     def backward(self, dout, cache):
+        if isinstance(cache, np.ndarray):  # an eval cache holds the input
+            cache = (cache.shape, self._window_max(cache, index=True)[1])
         (n, h, w, c), arg = cache
         ho, wo = h // self.ph, w // self.pw
         dwin = np.zeros((n, ho, wo, self.ph * self.pw, c), dtype=dout.dtype)

@@ -11,18 +11,21 @@ without shutting it down (SIGKILL) exits on its own.
 Large arrays go to and from the workers through shared memory
 (:class:`SharedArrays`), not through pickles: the executor pickles tasks
 and unpickles results on helper threads, whose malloc arenas keep the
-freed buffers as resident memory.
+freed buffers as resident memory.  :func:`in_worker` tells code that may
+run in a worker not to fan out again.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import multiprocessing
 import os
 import threading
 import time
+import types
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.shared_memory import SharedMemory
 
@@ -34,6 +37,7 @@ ALIGN = 64
 
 _executor = None
 _lock = threading.Lock()
+_is_worker = False
 
 
 def worker_count() -> int:
@@ -47,10 +51,17 @@ def _watch_parent(parent_pid):
     os._exit(1)
 
 
+def in_worker() -> bool:
+    """Whether this process is one of the pool's workers."""
+    return _is_worker
+
+
 def _init_worker(parent_pid):
+    global _is_worker
     for name, value in PINNED_ENV.items():
         if os.environ.get(name) != value:
             raise RuntimeError(f"pool worker started without {name}={value}")
+    _is_worker = True
     threading.Thread(target=_watch_parent, args=(parent_pid,), daemon=True).start()
 
 
@@ -83,17 +94,55 @@ def _started() -> ProcessPoolExecutor:
 
 
 def starmap(fn, arg_tuples):
-    """``[fn(*args) for args in arg_tuples]``, each call in a worker.
+    """``[fn(*args) for args in arg_tuples]``, each call in a worker (see
+    :func:`starmap_blocks`)."""
+    return starmap_blocks(fn, ((args, _NO_BLOCK) for args in arg_tuples))
 
-    A pool that a dying worker broke is shut down before the error is
-    raised, so the next call starts a new one.
+
+def starmap_blocks(fn, jobs):
+    """``[fn(*args) for args, block in jobs]``, each call in a worker, with
+    at most :func:`worker_count` calls in flight.
+
+    ``jobs`` is read lazily, one job each time a call may start, so at
+    most that many of its ``block`` objects (:class:`SharedArrays`, or
+    anything with a ``close()``) exist at once; each block is closed as
+    soon as its call has ended.  If a call raises, the calls already
+    started are waited for and every block is closed before the error is
+    raised.  A pool that a dying worker broke is shut down before the
+    error is raised, so the next call starts a new one.
     """
-    futures = [_started().submit(fn, *args) for args in arg_tuples]
+    executor, limit = _started(), worker_count()
+    running = collections.deque()
+    results = []
     try:
-        return [f.result() for f in futures]
+        for args, block in jobs:
+            running.append((executor.submit(fn, *args), block))
+            if len(running) == limit:
+                results.append(_finish(*running.popleft()))
+        while running:
+            results.append(_finish(*running.popleft()))
     except BrokenProcessPool:
         shutdown()
         raise
+    finally:
+        # Left here only when something raised: stop the calls that have not
+        # started, and wait for the others before freeing their blocks.
+        for future, _ in running:
+            future.cancel()
+        wait([future for future, _ in running])
+        for _, block in running:
+            block.close()
+    return results
+
+
+_NO_BLOCK = types.SimpleNamespace(close=lambda: None)
+
+
+def _finish(future, block):
+    try:
+        return future.result()
+    finally:
+        block.close()
 
 
 def shutdown():

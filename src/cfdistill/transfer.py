@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import pool
 from .evaluation import accuracy, r_squared
 from .nn.adam import AdamConfig, AdamState, adam_step
 from .nn.layers import FullyConnected
@@ -151,11 +152,35 @@ def distillation_loss(penultimate, estimated_cf):
 
 
 def predict_network(model: NetworkModel, x, batch_size=64):
-    """Eval-mode forward over batches, no caches kept."""
-    return np.concatenate([
-        model.forward(x[a:b], train=False, keep_cache=False)[0]
-        for a, b in batch_bounds(len(x), batch_size)
-    ])
+    """Eval-mode forward over batches, no caches kept.
+
+    With two or more batches and two or more pool workers, each batch runs
+    in a worker (:mod:`cfdistill.pool`) unless this process is one.  A
+    worker gets its batch, cast to the model's dtype, in a shared block of
+    its own and writes its rows into one shared output table; at most one
+    batch per worker is in flight.  Each batch runs the same forward as it
+    would here, so the rows are the same bits either way.
+    """
+    bounds = batch_bounds(len(x), batch_size)
+    if len(bounds) < 2 or pool.worker_count() < 2 or pool.in_worker():
+        return np.concatenate([
+            model.forward(x[a:b], train=False, keep_cache=False)[0] for a, b in bounds
+        ])
+    with pool.SharedArrays(np.empty((len(x), *model.output_shape), model.dtype)) as out:
+        def jobs():
+            for a, b in bounds:
+                batch = pool.SharedArrays(np.asarray(x[a:b], dtype=model.dtype))
+                yield (model, batch.handle, out.handle, a), batch
+
+        pool.starmap_blocks(_predict_batch, jobs())
+        return pool.load_shared(out.handle)[0]
+
+
+def _predict_batch(model, batch, out, first):
+    """One batch of :func:`predict_network`, run in a pool worker."""
+    (x,) = pool.load_shared(batch)
+    y, _ = model.forward(x, train=False, keep_cache=False)
+    pool.store_shared(out, slice(first, first + len(y)), y)
 
 
 def _epoch_batches(train_idx, batch_size, rng):

@@ -16,6 +16,8 @@ import pytest
 import cfdistill
 from cfdistill import experiment, transfer
 from cfdistill import world as world_module
+from cfdistill.cli import MANIFEST_COMMANDS
+from cfdistill.cli import main as cli_main
 from cfdistill.als import load_embedding
 from cfdistill.experiment import (
     StageError,
@@ -278,6 +280,26 @@ class TestDatasetMode:
         with pytest.raises(StageError, match=f"stage=world.*labels.csv:5: {message}"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
 
+    @pytest.mark.parametrize("name, line, lineno", [
+        ("labels", b"song03,\xff1", 5),
+        ("logs", b"user0\tsong00\t\xff", 3),
+    ])
+    def test_file_that_is_not_utf8_is_one_error_line_naming_file_and_line(
+            self, tmp_path, capsys, name, line, lineno):
+        datasets = self._write_dataset(tmp_path / "data")
+        path = Path(datasets[name])
+        lines = path.read_bytes().splitlines()
+        lines[lineno - 1] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        manifest = make_tiny_manifest(datasets=datasets)
+        del manifest["world"]
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert cli_main(["run", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cfdistill: error: stage=world: {path}:{lineno}: not UTF-8 text")
+
     def test_missing_dataset_path_fails_in_world_stage(self, tmp_path):
         manifest = make_tiny_manifest(
             datasets={"logs": "/nonexistent", "audio_dir": "/nope", "labels": "/nada"}
@@ -285,6 +307,30 @@ class TestDatasetMode:
         del manifest["world"]
         with pytest.raises(StageError, match="stage=world"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
+
+
+class TestStageList:
+    """``run_experiment`` checks its stage list before any stage runs."""
+
+    @pytest.mark.parametrize("stages, message", [
+        (("world", "bogus"), "unknown stage 'bogus'"),
+        (("world", "features", "estimator"), "stage 'estimator' needs stage 'als' to run before it"),
+        (("features", "world"), "stage 'features' needs stage 'world' to run before it"),
+        (("world", "als", "tasks"), "stage 'tasks' needs stage 'features' to run before it"),
+    ])
+    def test_bad_stage_list_raises_before_anything_runs(self, tmp_path, stages, message):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(make_tiny_manifest(), tmp_path / "out", stages=stages)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+    def test_every_manifest_command_stage_list_is_valid(self, command):
+        experiment.check_stages(MANIFEST_COMMANDS[command][0])
+
+    def test_train_task_reads_the_estimator_from_its_checkpoint(self):
+        stages = MANIFEST_COMMANDS["train-task"][0]
+        assert "estimator" not in stages
+        experiment.check_stages(stages)
 
 
 class TestManifestValidation:

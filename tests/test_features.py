@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_features as ref
 from cfdistill import features
 from cfdistill.features import (
     FeatureConfig,
@@ -167,6 +168,34 @@ class TestMelspectrogram:
         mel = melspectrogram(Waveform(np.ones(2000)), config)
         assert mel.config == config
         assert mel.n_mels == 32
+
+
+class TestAgainstReference:
+    """The strided frames and in-place power and log give the bits of the
+    fancy-index STFT and out-of-place mel grid in ``reference_features``."""
+
+    CONFIGS = [FeatureConfig(), FeatureConfig(n_fft=255, hop=100, n_mels=20),
+               FeatureConfig(log_compress=False)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "odd-fft", "no-log"])
+    def test_same_bits_over_clip_lengths(self, config):
+        rng = np.random.default_rng(config.n_fft)
+        shortest = config.n_fft // 2 + 1  # the shortest clip reflect padding accepts
+        hop = config.hop
+        lengths = [shortest, shortest + 1, hop - 1, hop, hop + 1, 2 * hop + 1, 3001, 30000, 30001]
+        for n in sorted(n for n in set(lengths) if n >= shortest):
+            wave = Waveform(rng.normal(size=n))
+            got, want = stft_power(wave, config), ref.stft_power(wave, config)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"STFT, {n} samples"
+            got, want = melspectrogram(wave, config).grid, ref.melspectrogram(wave, config).grid
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"mel, {n} samples"
+
+    def test_too_short_clip_rejected_by_both(self):
+        config = FeatureConfig()
+        wave = Waveform(np.ones(config.n_fft // 2))
+        for fn in (stft_power, ref.stft_power):
+            with pytest.raises(ValueError, match="too short for reflect padding"):
+                fn(wave, config)
 
 
 class TestCropMiddle:

@@ -2,10 +2,12 @@
 
 import errno
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from cfdistill import fileio
 from cfdistill.experiment import write_results_csv, write_world
@@ -88,6 +90,56 @@ class TestWav:
         write_wav(path, np.zeros(100), 22050)
         with pytest.raises(ValueError, match="sample rate"):
             read_wav(path, expect_rate=16000)
+
+
+def _wav_bytes(tmp_path):
+    path = tmp_path / "whole.wav"
+    write_wav(path, np.linspace(-0.5, 0.5, 1000), 16000)
+    return path.read_bytes()
+
+
+class TestDamagedWav:
+    """A WAV the reader cannot take raises ValueError naming the file."""
+
+    @pytest.mark.parametrize("size", [0, 10, 30, 43, 44, 100, 2043])
+    def test_truncated(self, tmp_path, size):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(_wav_bytes(tmp_path)[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a readable WAV file"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("offset, value", [
+        (0, b"RIFX"),  # byte order mark: big-endian, so the format tag reads wrong
+        (0, b"JUNK"),  # not a RIFF file
+        (8, b"WAVF"),  # form type
+        (12, b"fmt_"),  # no fmt chunk before the data
+        (16, b"\xc8\x00\x00\x00"),  # fmt chunk size runs past the end of the file
+        (20, b"\x09\x00"),  # format tag
+    ])
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_header_flip(self, tmp_path, offset, value):
+        data = bytearray(_wav_bytes(tmp_path))
+        data[offset:offset + len(value)] = value
+        path = tmp_path / "flipped.wav"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_wav(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (np.zeros(100, np.float32), "expected 16-bit PCM, got dtype float32"),
+        (np.zeros(100, np.uint8), "expected 16-bit PCM, got dtype uint8"),
+        (np.zeros((100, 2), np.int16), "expected mono audio, got 2 channels"),
+    ])
+    def test_wrong_format(self, tmp_path, data, message):
+        path = tmp_path / "other.wav"
+        wavfile.write(path, 16000, data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_wav(path)
+
+    def test_wav_that_is_whole_still_reads(self, tmp_path):
+        path = tmp_path / "whole.wav"
+        path.write_bytes(_wav_bytes(tmp_path))
+        assert read_wav(path)[0].shape == (1000,)
 
 
 class TestRawFloat32:

@@ -1,7 +1,9 @@
-"""Fast layers against the im2col reference layers, and float32 against float64.
+"""Fast layers against the reference layers, and float32 against float64.
 
 ``reference_layers`` holds the im2col ``Conv2d`` and the axis-reducing
-``BatchNorm`` that the flat-offset conv and the 2-D batch norm replaced.
+``BatchNorm`` that the flat-offset conv and the 2-D batch norm replaced,
+compared within a tolerance, and the ``FlatBatchNorm``, ``ReLU`` and
+``MaxPool`` that built caches in eval mode too, compared bit for bit.
 The shapes are every conv and batch-norm shape of the desk estimator
 (``cf_estimator_desk`` with 8 channels on 96x80 grids) at the training
 batch of 8, plus the 96x80 shapes at the catalog batch of 64.
@@ -148,6 +150,85 @@ def test_desk_network_step_matches_reference_layers():
     for i, (lf, ls) in enumerate(zip(fast.layers, slow.layers)):
         if isinstance(lf, BatchNorm):
             _assert_scaled(lf.running_var, ls.running_var, tol, np.max(ls.running_var), f"layer {i}")
+
+
+def _assert_same_bits(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), f"{what}: bits differ"
+
+
+def _same_step(fast, slow, x, dout, train):
+    """Forward and backward of two layers give the same bits."""
+    y_fast, cache_fast = fast.forward(x, train=train)
+    y_slow, cache_slow = slow.forward(x, train=train)
+    _assert_same_bits(y_fast, y_slow, "output")
+    dx_fast, g_fast = fast.backward(dout, cache_fast)
+    dx_slow, g_slow = slow.backward(dout, cache_slow)
+    _assert_same_bits(dx_fast, dx_slow, "dx")
+    assert sorted(g_fast) == sorted(g_slow)
+    for name in g_slow:
+        _assert_same_bits(g_fast[name], g_slow[name], f"d{name}")
+
+
+def _tied(rng, shape, dtype):
+    """Values on a coarse grid, so windows hold ties: a ReLU's +0.0 zeros,
+    equal positives, and -0.0 beside +0.0."""
+    x = np.maximum(rng.integers(-4, 4, size=shape) / 2, 0.0)
+    x[rng.random(shape) < 0.05] = -0.0
+    x[rng.random(shape) < 0.2] = -1.0
+    return x.astype(dtype)
+
+
+BIT_DTYPES = ["float64", "float32"]
+POOL_SHAPES = [((8, 96, 80, 8), (4, 5)), ((8, 24, 16, 8), (3, 4)), ((8, 8, 4, 8), (2, 4)),
+               ((4, 4, 6, 3), (2, 3))]
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", BIT_DTYPES)
+@pytest.mark.parametrize("shape,pool", POOL_SHAPES)
+def test_max_pool_same_bits_as_argmax_reference(shape, pool, dtype, train):
+    rng = np.random.default_rng(sum(shape))
+    dout_shape = (shape[0], shape[1] // pool[0], shape[2] // pool[1], shape[3])
+    dout = rng.normal(size=dout_shape).astype(dtype)
+    for x in (_tied(rng, shape, dtype), rng.normal(size=shape).astype(dtype)):
+        _same_step(MaxPool(pool), ref.MaxPool(pool), x, dout, train)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", BIT_DTYPES)
+def test_relu_same_bits_as_mask_reference(dtype, train):
+    rng = np.random.default_rng(7)
+    shape = (8, 96, 80, 8)
+    x = rng.normal(size=shape).astype(dtype)
+    x[rng.random(shape) < 0.05] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    dout = rng.normal(size=shape).astype(dtype)
+    _same_step(ReLU(), ref.ReLU(), x, dout, train)
+    y = ReLU().forward(x, train=train)[0]
+    _same_step(MaxPool((4, 5)), ref.MaxPool((4, 5)), y, dout[:, ::4, ::5], train)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", BIT_DTYPES)
+@pytest.mark.parametrize("shape", DESK_BN_SHAPES + [(8, 40)])
+def test_batch_norm_same_bits_as_flat_reference(shape, dtype, train):
+    c = shape[-1]
+    rng = np.random.default_rng(sum(shape))
+    fast, slow = BatchNorm(c, dtype=dtype), ref.FlatBatchNorm(c, dtype=dtype)
+    gamma = rng.uniform(0.5, 1.5, size=c).astype(dtype)
+    beta = rng.normal(size=c).astype(dtype)
+    mean = rng.normal(size=c).astype(dtype)
+    var = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+    for layer in (fast, slow):
+        layer.params["gamma"][...] = gamma
+        layer.params["beta"][...] = beta
+        layer.running_mean, layer.running_var = mean.copy(), var.copy()
+    x = (3.0 * rng.normal(size=shape) + 1.5).astype(dtype)
+    dout = rng.normal(size=shape).astype(dtype)
+    _same_step(fast, slow, x, dout, train)
+    _assert_same_bits(fast.running_mean, slow.running_mean, "running mean")
+    _assert_same_bits(fast.running_var, slow.running_var, "running var")
 
 
 def _layer_cases():

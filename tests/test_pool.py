@@ -6,6 +6,7 @@ command line carries ``--multiprocessing-fork``.
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -87,6 +88,45 @@ class TestWorkers:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         with pytest.raises(RuntimeError, match="OPENBLAS_NUM_THREADS=1"):
             pool._init_worker(os.getpid())
+
+
+class _Block:
+    """Stands in for a SharedArrays block: counts how many are open."""
+
+    def __init__(self, live):
+        self.live = live
+        self.closed = False
+        live.append(self)
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.live.remove(self)
+
+
+class TestStarmapBlocks:
+    def jobs(self, values, live, peak):
+        for v in values:
+            peak.append(len(live) + 1)
+            yield (v,), _Block(live)
+
+    def test_results_in_order_with_at_most_one_block_per_worker(self):
+        live, peak = [], []
+        got = pool.starmap_blocks(abs, self.jobs(range(-7, 0), live, peak))
+        assert got == [7, 6, 5, 4, 3, 2, 1]
+        assert max(peak) == min(pool.worker_count(), 7)
+        assert live == []
+
+    def test_a_failing_call_raises_after_every_block_is_closed(self):
+        live, peak = [], []
+        with pytest.raises(ValueError, match="math domain"):
+            pool.starmap_blocks(math.sqrt, self.jobs([1.0, -1.0, 4.0, 9.0, 16.0], live, peak))
+        assert live == []
+        assert max(peak) <= pool.worker_count()
+
+    def test_worker_flag_set_in_workers_only(self):
+        assert not pool.in_worker()
+        assert pool.starmap(pool.in_worker, [()]) == [True]
 
 
 class TestSharedArrays:
