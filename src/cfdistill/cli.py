@@ -6,7 +6,7 @@ Subcommands mirror the pipeline stages:
     als-fit         factorize a log file into an item embedding table
     features        extract mel grids for a directory of audio files
     train-estimator run the pipeline through estimator training
-    train-task      train task models (needs an estimator checkpoint)
+    train-task      train task models from a train-estimator run directory
     run             full pipeline, results.csv at the end
     evaluate        per-regime means and paired t-tests of a results.csv
 
@@ -77,8 +77,8 @@ def _cmd_als_fit(args):
 
 def _cmd_features(args):
     config = make_config(FeatureConfig, _read_config(args.config, "features"), "features")
-    grids = write_features(*read_audio_dir(args.audio_dir, config.sample_rate), config, args.out)
-    print(f"extracted {len(grids)} mel grids -> {args.out}")
+    shapes = write_features(*read_audio_dir(args.audio_dir, config.sample_rate), config, args.out)
+    print(f"extracted {len(shapes)} mel grids -> {args.out}")
     return 0
 
 
@@ -88,7 +88,7 @@ MANIFEST_COMMANDS = {
         ("world", "als", "features", "estimator"),
         "estimator trained -> {out}/checkpoints/cf_estimator.npz",
     ),
-    "train-task": (("world", "features", "tasks"), "trained {n} task cells -> {out}/results.csv"),
+    "train-task": (("tasks",), "trained {n} task cells -> {out}/results.csv"),
     "run": (ALL_STAGES, "pipeline complete: {n} result rows -> {out}/results.csv"),
 }
 

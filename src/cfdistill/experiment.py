@@ -6,10 +6,14 @@ list, seeds, and folds.  ``run_experiment`` executes the stages
 
     world -> als -> features -> estimator -> tasks
 
-persisting every artifact under the output directory.  A stage failure
-aborts with the stage name; artifacts written so far stay on disk for
-diagnosis.  Identical manifests reproduce identical result files in
-deterministic mode.
+persisting every artifact under the output directory.  Stages hand over
+through that directory: estimator and tasks read only the manifest's
+settings and files written there, so ``tasks`` runs alone after
+``estimator``.  Only world hands anything over in memory, within one call:
+the interactions to als, and the item ids and lazy waveforms to features.
+A stage failure aborts with the stage name; artifacts written so far stay
+on disk for diagnosis.  Identical manifests reproduce identical result
+files in deterministic mode.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .als import (
     build_interaction_matrix,
     als_fit,
     item_vector,
+    load_embedding,
     parse_log_file,
     save_embedding,
 )
@@ -48,16 +53,12 @@ from .world import World, WorldConfig, generate_world
 
 SCHEMA_VERSION = 1
 ALL_STAGES = ("world", "als", "features", "estimator", "tasks")
-# The stages whose outputs each stage reads; they must run before it in the
-# same call.  tasks reads the estimator from its checkpoint when the
-# estimator stage has not run.
-STAGE_INPUTS = {
-    "world": (),
-    "als": ("world",),
-    "features": ("world",),
-    "estimator": ("als", "features"),
-    "tasks": ("features",),
-}
+# The stage whose in-memory handover a stage takes; it must run before it in
+# the same call.  Every other input is a file under the run directory.
+STAGE_INPUTS = {"als": "world", "features": "world"}
+EMBEDDING = Path("embeddings") / "item_embeddings.ftab"
+ESTIMATOR = Path("checkpoints") / "cf_estimator.npz"
+LABELS = Path("world") / "labels.csv"
 # results.csv columns and the type each is read back as
 RESULT_COLUMNS = {"task": str, "regime": str, "channels": int, "seed": int, "fold": int,
                   "metric": float, "epochs": int, "seconds": float}
@@ -262,19 +263,24 @@ def write_world(world: World, out_dir, audio=True):
                     logs.counts[block].tolist(),
                 )
             )
-    with fileio.atomic_write(out_dir / "labels.csv", "w") as fh:
-        fh.write("item_id,label\n")
-        for item_id, label in zip(world.item_ids, world.labels):
-            if world.config.task_kind == "classification":
-                fh.write(f"{item_id},{int(label)}\n")
-            else:
-                fh.write(f"{item_id},{float(label)!r}\n")
+    _write_labels(out_dir / "labels.csv", world.item_ids, world.labels, world.config.task_kind)
     fileio.save_float_table(
         out_dir / "latents.ftab", world.item_ids, world.item_latents, meta={"kind": "true_latents"}
     )
     if audio:
         for item_id, wave in zip(world.item_ids, world.waveforms):
             write_audio(out_dir / "audio", item_id, wave)
+
+
+def _write_labels(path, item_ids, labels, kind):
+    """``labels.csv``: a header, then ``item_id,label`` per item, in order."""
+    with fileio.atomic_write(path, "w") as fh:
+        fh.write("item_id,label\n")
+        for item_id, label in zip(item_ids, labels):
+            if kind == "classification":
+                fh.write(f"{item_id},{int(label)}\n")
+            else:
+                fh.write(f"{item_id},{float(label)!r}\n")
 
 
 def _load_labels_csv(path, kind):
@@ -302,28 +308,25 @@ def _load_labels_csv(path, kind):
     return labels
 
 
-def _stage_world(ctx):
-    if ctx["world"] is not None:
-        world = generate_world(ctx["world"])
-        write_world(world, ctx["out_dir"] / "world", audio=False)  # see _stage_features
-        ctx["logs"] = world.interactions
-        ctx["item_ids"] = world.item_ids
-        ctx["waveforms"] = world.waveforms
-        ctx["labels"] = np.asarray(world.labels)
-    else:
-        paths = ctx["datasets"]
-        for path in paths.values():
-            if not Path(path).exists():
-                raise ValueError(f"dataset path does not exist: {path}")
-        ctx["logs"] = parse_log_file(paths["logs"])
-        ctx["item_ids"], ctx["waveforms"] = read_audio_dir(
-            paths["audio_dir"], ctx["features"].sample_rate
-        )
-        label_map = _load_labels_csv(paths["labels"], ctx["task"].kind)
-        missing = [i for i in ctx["item_ids"] if i not in label_map]
-        if missing:
-            raise ValueError(f"labels file is missing {len(missing)} item ids, e.g. {missing[0]!r}")
-        ctx["labels"] = np.asarray([label_map[i] for i in ctx["item_ids"]])
+def _stage_world(settings, out_dir):
+    """Write ``world/``; returns the in-memory handover: ``{"logs": interactions,
+    "audio": (item ids, lazy waveforms)}``."""
+    if settings["world"] is not None:
+        world = generate_world(settings["world"])
+        write_world(world, out_dir / "world", audio=False)  # see _stage_features
+        return {"logs": world.interactions, "audio": (world.item_ids, world.waveforms)}
+    paths, kind = settings["datasets"], settings["task"].kind
+    for path in paths.values():
+        if not Path(path).exists():
+            raise ValueError(f"dataset path does not exist: {path}")
+    logs = parse_log_file(paths["logs"])
+    item_ids, waveforms = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
+    label_map = _load_labels_csv(paths["labels"], kind)
+    missing = [i for i in item_ids if i not in label_map]
+    if missing:
+        raise ValueError(f"labels file is missing {len(missing)} item ids, e.g. {missing[0]!r}")
+    _write_labels(out_dir / LABELS, item_ids, [label_map[i] for i in item_ids], kind)
+    return {"logs": logs, "audio": (item_ids, waveforms)}
 
 
 def read_audio_dir(audio_dir, sample_rate):
@@ -342,13 +345,14 @@ def fit_embedding(logs, config: AlsConfig, path):
 
 
 def write_features(item_ids, waveforms, config: FeatureConfig, out_dir, audio_dir=None):
-    """Save each mel grid as ``<out_dir>/<item_id>.ftab``; returns {item_id: grid}.
+    """Save each mel grid as ``<out_dir>/<item_id>.ftab``; returns the grid
+    shapes, in item order.
 
     One pass over ``waveforms``, which may synthesize each item as it is
     read; given ``audio_dir``, each waveform is also written there (see
-    ``write_audio``).  No waveform is kept once its grid is written.
+    ``write_audio``).  No waveform or grid is kept once its grid is written.
     """
-    grids = {}
+    shapes = []
     for item_id, wave in zip(item_ids, waveforms):
         mel = melspectrogram(wave, config)
         if audio_dir is not None:
@@ -359,74 +363,70 @@ def write_features(item_ids, waveforms, config: FeatureConfig, out_dir, audio_di
             mel.grid,
             meta={"item_id": item_id, "n_frames": mel.n_frames},
         )
-        grids[item_id] = mel.grid
+        shapes.append(mel.grid.shape)
+        del mel  # so the next grid is computed with none alive
+    return shapes
+
+
+def _stage_features(settings, out_dir, item_ids, waveforms):
+    # A generated world's audio is synthesized and written here, in one pass
+    # with the grids, so only one batch of it is ever in memory.
+    audio_dir = out_dir / "world" / "audio" if settings["world"] is not None else None
+    shapes = set(write_features(
+        item_ids, waveforms, settings["features"], out_dir / "features", audio_dir=audio_dir
+    ))
+    if len(shapes) != 1:
+        raise ValueError(f"inconsistent mel grid shapes: {sorted(shapes)}")
+
+
+def _read_items(settings, out_dir):
+    """Item ids and labels in ``world/labels.csv`` order, and how many of them
+    (the first) are estimator items."""
+    labels = _load_labels_csv(out_dir / LABELS, settings["task"].kind)
+    n_est = settings["split"]["n_estimator_items"]
+    if not (0 < n_est < len(labels)):
+        raise ValueError(f"n_estimator_items={n_est} must be in (0, {len(labels)})")
+    return list(labels), np.asarray(list(labels.values())), n_est
+
+
+def _read_grids(out_dir, item_ids, input_shape):
+    """The items' mel grids from ``features/``, stacked as network inputs."""
+    grids = np.stack([
+        fileio.load_float_table(out_dir / "features" / f"{i}.ftab")[1][:, :, None]
+        for i in item_ids
+    ])
+    if grids.shape[1:3] != tuple(input_shape[:2]):
+        raise ValueError(
+            f"mel grids {grids.shape[1:3]} do not match architecture input "
+            f"{tuple(input_shape[:2])}"
+        )
     return grids
 
 
-def _stage_als(ctx):
-    path = ctx["out_dir"] / "embeddings" / "item_embeddings.ftab"
-    _, ctx["embedding"] = fit_embedding(ctx["logs"], ctx["als"], path)
-
-
-def _stage_features(ctx):
-    # A generated world's audio is synthesized and written here, in one pass
-    # with the grids, so only one batch of it is ever in memory.
-    audio_dir = ctx["out_dir"] / "world" / "audio" if ctx["world"] is not None else None
-    grids = write_features(
-        ctx["item_ids"], ctx.pop("waveforms"), ctx["features"], ctx["out_dir"] / "features",
-        audio_dir=audio_dir,
-    )
-    shapes = {g.shape for g in grids.values()}
-    if len(shapes) != 1:
-        raise ValueError(f"inconsistent mel grid shapes: {sorted(shapes)}")
-    ctx["grids"] = grids
-    ctx["grid_shape"] = next(iter(shapes))
-
-
-def _features_array(ctx, item_ids):
-    grids = ctx["grids"]
-    return np.stack([grids[i][:, :, None] for i in item_ids], axis=0)
-
-
-def _split_counts(ctx):
-    n_items = len(ctx["item_ids"])
-    n_est = ctx["split"]["n_estimator_items"]
-    if not (0 < n_est < n_items):
-        raise ValueError(f"n_estimator_items={n_est} must be in (0, {n_items})")
-    return n_est
-
-
-def _stage_estimator(ctx):
-    input_shape = ctx["input_shape"]
-    if ctx["grid_shape"] != tuple(input_shape[:2]):
-        raise ValueError(
-            f"mel grids {ctx['grid_shape']} do not match architecture input "
-            f"{tuple(input_shape[:2])}"
-        )
-    config = ctx["train"]
-    n_est = _split_counts(ctx)
-    est_ids = ctx["item_ids"][:n_est]
-    embedding = ctx["embedding"]
+def _stage_estimator(settings, out_dir):
+    item_ids, _, n_est = _read_items(settings, out_dir)
+    est_ids = item_ids[:n_est]
+    features = _read_grids(out_dir, est_ids, settings["input_shape"])
+    config = settings["train"]
+    embedding = load_embedding(out_dir / EMBEDDING)
     targets = np.stack([item_vector(embedding, i) for i in est_ids], axis=0)
-    if ctx["normalize_targets"]:
+    if settings["normalize_targets"]:
         norms = np.linalg.norm(targets, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise ValueError("cannot normalize zero embedding targets")
         targets = targets / norms
-    features = _features_array(ctx, est_ids)
-    train_idx, val_idx = plain_split(n_est, (ctx["estimator_val_fraction"],), seed=[config.seed, 3])
+    train_idx, val_idx = plain_split(
+        n_est, (settings["estimator_val_fraction"],), seed=[config.seed, 3]
+    )
     model, info = train_cf_estimator(
-        features, targets, ctx["specs"], input_shape, config, train_idx, val_idx
+        features, targets, settings["specs"], settings["input_shape"], config, train_idx, val_idx
     )
-    save_checkpoint(
-        model, ctx["out_dir"] / "checkpoints" / "cf_estimator.npz", extra={"preset": ctx["preset"]}
-    )
+    save_checkpoint(model, out_dir / ESTIMATOR, extra={"preset": settings["preset"]})
     _write_csv(
-        ctx["out_dir"] / "curves" / "estimator.csv",
+        out_dir / "curves" / "estimator.csv",
         "epoch,train_loss,val_loss",
         (row.values() for row in info["curve"]),
     )
-    ctx["estimator"] = model
 
 
 def _make_splits(task: TaskSpec, labels, folds, seed, val_fraction, test_fraction):
@@ -455,31 +455,26 @@ def _make_splits(task: TaskSpec, labels, folds, seed, val_fraction, test_fractio
     return out
 
 
-def _stage_tasks(ctx):
-    task, specs, input_shape = ctx["task"], ctx["specs"], ctx["input_shape"]
-    estimator = ctx.get("estimator")
-    ckpt = ctx["out_dir"] / "checkpoints" / "cf_estimator.npz"
-    if estimator is None and any(r.regime != "base" for r in ctx["regimes"]):
-        if not ckpt.exists():
-            raise ValueError("estimator checkpoint missing; run train-estimator first")
-        estimator = load_checkpoint(ckpt, expect_specs=specs, expect_input_shape=input_shape)
-        ctx["estimator"] = estimator
-
-    n_est = _split_counts(ctx)
-    task_ids = ctx["item_ids"][n_est:]
-    labels = ctx["labels"][n_est:]
-    features = _features_array(ctx, task_ids)
+def _stage_tasks(settings, out_dir, deterministic):
+    task, specs, input_shape = settings["task"], settings["specs"], settings["input_shape"]
+    ckpt = out_dir / ESTIMATOR
+    if not ckpt.exists():
+        raise ValueError(f"{ckpt}: estimator checkpoint missing; run train-estimator first")
+    estimator = load_checkpoint(ckpt, expect_specs=specs, expect_input_shape=input_shape)
+    item_ids, labels, n_est = _read_items(settings, out_dir)
+    task_ids, labels = item_ids[n_est:], labels[n_est:]
+    features = _read_grids(out_dir, task_ids, input_shape)
     # The estimator's outputs over the task items, computed once for every fix and kd cell.
-    uses_teacher = any(r.regime in ("fix", "kd") for r in ctx["regimes"])
+    uses_teacher = any(r.regime in ("fix", "kd") for r in settings["regimes"])
     teacher = predict_network(estimator, features) if uses_teacher else None
-    split, task_name, n_channels = ctx["split"], ctx["task_name"], ctx["n_channels"]
-    out_dir = ctx["out_dir"]
+    split, task_name, n_channels = settings["split"], settings["task_name"], settings["n_channels"]
 
     results = []
     fold_records = []
-    for seed in ctx["seeds"]:
+    for seed in settings["seeds"]:
         splits = _make_splits(
-            task, labels, ctx["folds"], [seed, 17], split["val_fraction"], split["test_fraction"]
+            task, labels, settings["folds"], [seed, 17],
+            split["val_fraction"], split["test_fraction"],
         )
         for train_idx, val_idx, test_idx, fold in splits:
             fold_records.append(
@@ -498,7 +493,7 @@ def _stage_tasks(ctx):
                 val_idx=val_idx,
                 test_idx=test_idx,
             )
-            for regime in ctx["regimes"]:
+            for regime in settings["regimes"]:
                 regime = dataclasses.replace(regime, seed=seed)
                 start = time.perf_counter()
                 model, result = train_task(
@@ -512,7 +507,7 @@ def _stage_tasks(ctx):
                     fold=fold,
                     teacher=teacher,
                 )
-                result.seconds = 0.0 if ctx["deterministic"] else time.perf_counter() - start
+                result.seconds = 0.0 if deterministic else time.perf_counter() - start
                 cell = f"{task_name}_{regime.regime}_F{n_channels}_s{seed}_f{fold}"
                 _write_csv(
                     out_dir / "curves" / f"{cell}.csv",
@@ -530,7 +525,7 @@ def _stage_tasks(ctx):
         json.dump({"task_items": task_ids, "cells": fold_records}, fh, indent=2)
         fh.write("\n")
     write_results_csv(out_dir / "results.csv", results)
-    ctx["results"] = [r for _, r in results]
+    return [r for _, r in results]
 
 
 def _write_csv(path, header, rows):
@@ -560,8 +555,8 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
 
     Any stage failure raises :class:`StageError` naming the stage;
     artifacts written before the failure remain on disk.  An unknown stage,
-    or one listed without a stage it reads from before it, is a ValueError
-    raised before anything runs.
+    or one listed without the stage whose handover it takes before it, is a
+    ValueError raised before anything runs.
     """
     stages = tuple(stages)
     check_stages(stages)
@@ -571,31 +566,33 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     with fileio.atomic_write(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    ctx = {**settings, "out_dir": out_dir, "deterministic": deterministic}
-    stage_fns = {
-        "world": _stage_world,
-        "als": _stage_als,
-        "features": _stage_features,
-        "estimator": _stage_estimator,
-        "tasks": _stage_tasks,
-    }
+    handover, results = {}, []  # world's in-memory outputs, each dropped once taken
     for name in stages:
         try:
-            stage_fns[name](ctx)
+            if name == "world":
+                handover = _stage_world(settings, out_dir)
+            elif name == "als":
+                fit_embedding(handover.pop("logs"), settings["als"], out_dir / EMBEDDING)
+            elif name == "features":
+                _stage_features(settings, out_dir, *handover.pop("audio"))
+            elif name == "estimator":
+                _stage_estimator(settings, out_dir)
+            else:
+                results = _stage_tasks(settings, out_dir, deterministic)
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
-    return ctx.get("results", [])
+    return results
 
 
 def check_stages(stages):
     """Raise ValueError naming the first stage that is unknown or that comes
-    without a stage whose outputs it reads (:data:`STAGE_INPUTS`) before it."""
+    without the stage whose handover it takes (:data:`STAGE_INPUTS`) before it."""
     for i, name in enumerate(stages):
-        if name not in STAGE_INPUTS:
+        if name not in ALL_STAGES:
             raise ValueError(f"unknown stage {name!r}; expected one of {ALL_STAGES}")
-        missing = [need for need in STAGE_INPUTS[name] if need not in stages[:i]]
-        if missing:
-            raise ValueError(f"stage {name!r} needs stage {missing[0]!r} to run before it")
+        need = STAGE_INPUTS.get(name)
+        if need and need not in stages[:i]:
+            raise ValueError(f"stage {name!r} needs stage {need!r} to run before it")
 
 
 def read_results_csv(path):

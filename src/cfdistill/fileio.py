@@ -12,6 +12,7 @@ Three formats live here:
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import struct
@@ -80,31 +81,44 @@ def save_float_table(path, ids, matrix, meta=None):
 def load_float_table(path):
     """Read a float table; returns ``(ids, matrix, meta)``.
 
-    The file must be exactly as long as its header says: a shorter one is
-    truncated, and a longer one has bytes no writer put there.
+    Anything but a file as the writer lays it out raises ``ValueError``
+    naming the path: a header cut short or not a JSON object with int
+    ``n_rows`` and ``n_cols`` and one id per row, and data that is not
+    exactly as long as the header says (shorter is truncated, longer has
+    bytes no writer put there).
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FTAB_MAGIC:
-            raise ValueError(f"{path}: not a float table file (bad magic {magic!r})")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != FTAB_VERSION:
-            raise ValueError(f"{path}: unsupported float table version {version}")
-        header_len = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        n_rows, n_cols = header["n_rows"], header["n_cols"]
-        size = 12 + header_len + 8 * n_rows * n_cols
-        actual = os.fstat(fh.fileno()).st_size
-        if actual < size:
-            raise ValueError(f"{path}: truncated float table")
-        if actual > size:
-            raise ValueError(
-                f"{path}: {actual - size} bytes after the float table's data "
-                f"(file is {actual} bytes, header says {size})"
-            )
-        data = np.frombuffer(fh.read(n_rows * n_cols * 8), dtype="<f8")
-    matrix = data.reshape(n_rows, n_cols).copy()
-    return header["ids"], matrix, header.get("meta", {})
+        blob = fh.read()
+    if blob[:4] != FTAB_MAGIC:
+        raise ValueError(f"{path}: not a float table file (bad magic {blob[:4]!r})")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated float table ({len(blob)}-byte file)")
+    version, header_len = struct.unpack_from("<II", blob, 4)
+    if version != FTAB_VERSION:
+        raise ValueError(f"{path}: unsupported float table version {version}")
+    if len(blob) < 12 + header_len:
+        raise ValueError(f"{path}: truncated float table (header of {header_len} bytes)")
+    try:
+        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+        n_rows, n_cols, ids = header["n_rows"], header["n_cols"], header["ids"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: bad float table header: {exc!r}") from None
+    if not (type(n_rows) is type(n_cols) is int and min(n_rows, n_cols) >= 0
+            and isinstance(ids, list) and len(ids) == n_rows):
+        raise ValueError(
+            f"{path}: bad float table header: n_rows {n_rows!r}, n_cols {n_cols!r}, "
+            f"{len(ids) if isinstance(ids, list) else type(ids).__name__} ids"
+        )
+    size = 12 + header_len + 8 * n_rows * n_cols
+    if len(blob) < size:
+        raise ValueError(f"{path}: truncated float table")
+    if len(blob) > size:
+        raise ValueError(
+            f"{path}: {len(blob) - size} bytes after the float table's data "
+            f"(file is {len(blob)} bytes, header says {size})"
+        )
+    matrix = np.frombuffer(blob, dtype="<f8", offset=12 + header_len).reshape(n_rows, n_cols)
+    return ids, matrix.copy(), header.get("meta", {})
 
 
 def text_lines(path):
@@ -145,27 +159,51 @@ def read_wav(path, expect_rate=None):
 
     Samples come back as float64 in [-1, 1).  Stereo files and non-PCM16
     encodings are rejected; ``expect_rate`` additionally pins the rate.  A
-    file the WAV reader cannot parse, or whose data chunk is shorter than
-    its header says, raises ``ValueError`` naming the path.
+    file the WAV reader cannot parse, or whose chunks do not exactly fill
+    the file its RIFF header sizes, raises ``ValueError`` naming the path.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
+        bits = _wav_bits_per_sample(blob)
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
+            rate, data = wavfile.read(io.BytesIO(blob))
     # scipy's reader raises UnboundLocalError when the header's chunk sizes
     # run past the end of the file before any data chunk.
     except (ValueError, struct.error, wavfile.WavFileWarning, UnboundLocalError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.ndim} channels")
-    if data.dtype != np.int16:
-        raise ValueError(f"{path}: expected 16-bit PCM, got dtype {data.dtype}")
+    if data.dtype != np.int16 or bits != 16:
+        raise ValueError(f"{path}: expected 16-bit PCM, got dtype {data.dtype} "
+                         f"from {bits} bits per sample")
     if expect_rate is not None and rate != expect_rate:
         raise ValueError(
             f"{path}: sample rate {rate} Hz, expected {expect_rate} Hz "
             "(resampling is out of scope)"
         )
     return data.astype(np.float64) / 32768.0, int(rate)
+
+
+def _wav_bits_per_sample(blob):
+    """The ``fmt`` chunk's bits per sample of a RIFF/WAVE file whose RIFF
+    chunk is the whole file and whose chunks exactly fill it; anything
+    else raises ``ValueError``."""
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise ValueError("no RIFF/WAVE header")
+    riff_size = 8 + struct.unpack_from("<I", blob, 4)[0]
+    if riff_size != len(blob):
+        raise ValueError(f"RIFF header says {riff_size} bytes, file has {len(blob)}")
+    bits, pos = None, 12
+    while pos < len(blob):
+        name, size = struct.unpack_from("<4sI", blob, pos)  # struct.error if cut short
+        if pos + 8 + size > len(blob):
+            raise ValueError(f"{name!r} chunk of {size} bytes runs past the end of the file")
+        if name == b"fmt " and size >= 16:
+            bits = struct.unpack_from("<H", blob, pos + 22)[0]
+        pos += 8 + size + size % 2
+    return bits
 
 
 def write_raw_float32(path, samples, sample_rate):

@@ -1,6 +1,7 @@
 """Orchestration: stages, artifacts, failure policy, results files."""
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import cfdistill
-from cfdistill import experiment, transfer
+from cfdistill import cli, experiment, transfer
+from cfdistill import features as features_module
 from cfdistill import world as world_module
 from cfdistill.cli import MANIFEST_COMMANDS
 from cfdistill.cli import main as cli_main
@@ -185,7 +187,92 @@ class TestTaskCells:
         assert len(forwards) == 1
 
 
+def child_env(**overrides):
+    """This process's environment, with ``src`` on ``PYTHONPATH``, for a
+    child that runs ``python -m cfdistill.cli``."""
+    src = str(Path(cfdistill.__file__).resolve().parents[1])
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **overrides}
+
+
+def file_digests(root):
+    """sha256 of every file under ``root``, keyed by its path relative to ``root``."""
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+class TestTrainTaskAlone:
+    """The tasks stage reads only the run directory, so ``train-task`` after
+    ``train-estimator`` recomputes nothing and writes the bytes ``run`` writes."""
+
+    @pytest.mark.parametrize("four_regimes", [False, True], ids=["tiny", "four_regimes_two_seeds"])
+    def test_train_estimator_then_train_task_writes_what_run_writes(
+            self, tmp_path, monkeypatch, four_regimes):
+        manifest = (four_regime_manifest() if four_regimes
+                    else json.loads((CONFIGS / "tiny.json").read_text(encoding="utf-8")))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        whole, split = tmp_path / "run", tmp_path / "split"
+        for command, out in (("run", whole), ("train-estimator", split)):
+            assert cli_main([command, str(path), "--out", str(out), "--deterministic"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("train-task regenerated the world or recomputed a mel grid")
+
+        for module in (cli, experiment, world_module, features_module):
+            for name in ("generate_world", "melspectrogram"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert cli_main(["train-task", str(path), "--out", str(split), "--deterministic"]) == 0
+        assert file_digests(split) == file_digests(whole)
+
+    def test_train_task_in_a_fresh_process_rewrites_the_task_outputs(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text((CONFIGS / "tiny.json").read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--deterministic"]) == 0
+        want = file_digests(out)
+        task_outputs = [out / "results.csv", out / "folds.json"]
+        task_outputs += [p for p in (out / "curves").iterdir() if p.name != "estimator.csv"]
+        task_outputs += list((out / "checkpoints").glob("task_*.npz"))
+        assert len(task_outputs) == 2 + 2 * 2  # two cells, a curve and a checkpoint each
+        for p in task_outputs:
+            p.unlink()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfdistill.cli", "train-task", str(path),
+             "--out", str(out), "--deterministic"],
+            env=child_env(), capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert file_digests(out) == want
+
+
 class TestStreamedAudio:
+    def test_features_stage_holds_one_mel_grid_at_a_time(self, tmp_path, monkeypatch):
+        """Each grid is written and dropped before the next is computed."""
+        live, peak, made = [0], [0], [0]
+        real = experiment.melspectrogram
+
+        def released():
+            live[0] -= 1
+
+        def tracked(wave, config):
+            mel = real(wave, config)
+            weakref.finalize(mel.grid, released)
+            live[0] += 1
+            made[0] += 1
+            peak[0] = max(peak[0], live[0])
+            return mel
+
+        monkeypatch.setattr(experiment, "melspectrogram", tracked)
+        manifest = make_tiny_manifest()
+        run_experiment(manifest, tmp_path / "out", deterministic=True, stages=("world", "features"))
+        assert made[0] == manifest["world"]["n_items"]
+        assert peak[0] == 1
+
+
     def test_run_synthesizes_each_item_once_and_holds_one_batch(self, tmp_path, monkeypatch):
         """The features pass is the only reader of a world's audio, and it holds
         at most one batch of waveforms plus one per worker thread."""
@@ -314,23 +401,34 @@ class TestStageList:
 
     @pytest.mark.parametrize("stages, message", [
         (("world", "bogus"), "unknown stage 'bogus'"),
-        (("world", "features", "estimator"), "stage 'estimator' needs stage 'als' to run before it"),
         (("features", "world"), "stage 'features' needs stage 'world' to run before it"),
-        (("world", "als", "tasks"), "stage 'tasks' needs stage 'features' to run before it"),
+        (("als",), "stage 'als' needs stage 'world' to run before it"),
     ])
     def test_bad_stage_list_raises_before_anything_runs(self, tmp_path, stages, message):
         with pytest.raises(ValueError, match=message):
             run_experiment(make_tiny_manifest(), tmp_path / "out", stages=stages)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage, missing", [
+        ("estimator", Path("world") / "labels.csv"),
+        ("tasks", Path("checkpoints") / "cf_estimator.npz"),
+    ])
+    def test_stage_alone_on_empty_directory_names_the_missing_file(self, tmp_path, stage, missing):
+        """estimator and tasks read only files, so each may run alone, and
+        fails on the first file it finds missing."""
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as info:
+            run_experiment(make_tiny_manifest(), out, deterministic=True, stages=(stage,))
+        assert info.value.stage == stage
+        assert str(out / missing) in str(info.value)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
     def test_every_manifest_command_stage_list_is_valid(self, command):
         experiment.check_stages(MANIFEST_COMMANDS[command][0])
 
     def test_train_task_reads_the_estimator_from_its_checkpoint(self):
-        stages = MANIFEST_COMMANDS["train-task"][0]
-        assert "estimator" not in stages
-        experiment.check_stages(stages)
+        assert MANIFEST_COMMANDS["train-task"][0] == ("tasks",)
 
 
 class TestManifestValidation:
@@ -525,12 +623,8 @@ class TestBlasThreadInvariance:
         manifest = four_regime_manifest()
         path = tmp_path / "four.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        src = str(Path(cfdistill.__file__).resolve().parents[1])
-        inherited = dict(os.environ)
-        inherited["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        )
-        pinned = {**inherited, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        inherited = child_env()
+        pinned = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         outs = {}
         for name, env in (("pinned", pinned), ("inherited", inherited)):
             outs[name] = tmp_path / name

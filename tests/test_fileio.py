@@ -1,8 +1,10 @@
 """Round trips of the shared file formats, and atomic writes."""
 
 import errno
+import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,33 @@ class TestFloatTable:
         with pytest.raises(ValueError, match=f"t.ftab: {extra} bytes after the float table"):
             load_float_table(path)
 
+    def test_every_cut_raises_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "cut.ftab"
+        save_float_table(path, ["a", "b"], np.ones((2, 3)), meta={"kind": "cut at every length"})
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_float_table(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b'{"n_cols": 3, "ids": ["a", "b"]}', "KeyError\\('n_rows'\\)"),
+        (b'{"n_rows": 2, "n_cols": 3, "ids": ["a"]}', "n_rows 2, n_cols 3, 1 ids"),
+        (b'{"n_rows": "2", "n_cols": 3, "ids": ["a", "b"]}', "n_rows '2'"),
+        (b'{"n_rows": true, "n_cols": 3, "ids": ["a"]}', "n_rows True"),
+        (b'{"n_rows": 2, "n_cols": 3, "ids": "ab"}', "str ids"),
+        (b'[2, 3]', "TypeError"),
+        (b'{"n_rows": 2,', "JSONDecodeError"),
+        (b'{"\xff": 2}', "UnicodeDecodeError"),
+    ])
+    def test_bad_header_raises_value_error_naming_the_file(self, tmp_path, header, message):
+        path = tmp_path / "h.ftab"
+        version = struct.pack("<II", fileio.FTAB_VERSION, len(header))
+        path.write_bytes(fileio.FTAB_MAGIC + version + header + b"\x00" * 48)
+        pattern = f"^{re.escape(str(path))}: bad float table header: .*{message}"
+        with pytest.raises(ValueError, match=pattern):
+            load_float_table(path)
+
 
 class TestWav:
     def test_round_trip_within_quantization(self, tmp_path):
@@ -133,6 +162,26 @@ class TestDamagedWav:
     def test_wrong_format(self, tmp_path, data, message):
         path = tmp_path / "other.wav"
         wavfile.write(path, 16000, data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (34, struct.pack("<H", 12), "expected 16-bit PCM, got dtype int16 from 12 bits per sample"),
+        (40, struct.pack("<I", 0x7FFFFFFF), "not a readable WAV file: b'data' chunk of 2147483647"),
+    ])
+    def test_header_the_writer_never_writes(self, tmp_path, offset, value, message):
+        data = bytearray(_wav_bytes(tmp_path))
+        data[offset:offset + len(value)] = value
+        path = tmp_path / "odd.wav"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("extra", range(1, 9))
+    def test_trailing_bytes(self, tmp_path, extra):
+        path = tmp_path / "long.wav"
+        path.write_bytes(_wav_bytes(tmp_path) + b"\x00" * extra)
+        message = f"not a readable WAV file: RIFF header says 2044 bytes, file has {2044 + extra}"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             read_wav(path)
 
