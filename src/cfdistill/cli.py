@@ -31,7 +31,7 @@ from .experiment import (
     read_results_csv,
     run_experiment,
     summarize_results,
-    write_features,
+    write_items,
     write_world,
 )
 from .features import FeatureConfig
@@ -77,7 +77,8 @@ def _cmd_als_fit(args):
 
 def _cmd_features(args):
     config = make_config(FeatureConfig, _read_config(args.config, "features"), "features")
-    shapes = write_features(*read_audio_dir(args.audio_dir, config.sample_rate), config, args.out)
+    item_ids, audio = read_audio_dir(args.audio_dir, config.sample_rate)
+    shapes = write_items(item_ids, audio, config=config, features_dir=args.out)
     print(f"extracted {len(shapes)} mel grids -> {args.out}")
     return 0
 

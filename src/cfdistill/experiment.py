@@ -22,12 +22,13 @@ import dataclasses
 import json
 import time
 import typing
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import fileio
+from . import fileio, pool
 from .als import (
     AlsConfig,
     build_interaction_matrix,
@@ -63,6 +64,10 @@ LABELS = Path("world") / "labels.csv"
 RESULT_COLUMNS = {"task": str, "regime": str, "channels": int, "seed": int, "fold": int,
                   "metric": float, "epochs": int, "seconds": float}
 REQUIRED = object()  # a key with no default
+# The manifest sections that the stages before tasks read; a stage list that
+# starts later must come with the same ones (check_upstream).
+UPSTREAM = ("task", "world", "datasets", "split", "als", "features", "architecture",
+            "estimator", "dtype")
 # Types and defaults of the keys of the top level ("") and of the sections no
 # config class holds.  The task, world, als, features, estimator and
 # regimes[*] sections take the fields of their config class (annotations and
@@ -240,16 +245,14 @@ def make_config(cls, values, section):
 
 # Rows of logs.tsv formatted per write; bounds the Python objects alive at once.
 LOG_BLOCK = 65536
-
-
-def write_audio(audio_dir, item_id, wave: Waveform):
-    """Write one item's waveform as ``<audio_dir>/<item_id>.f32`` plus its sidecar."""
-    fileio.write_raw_float32(Path(audio_dir) / f"{item_id}.f32", wave.samples, wave.sample_rate)
+# Items per pool job of the audio and features pass (``write_items``).
+ITEM_BLOCK = 32
 
 
 def write_world(world: World, out_dir, audio=True):
     """Persist a generated world: logs, labels, true latents and (unless
-    ``audio`` is false) each item's audio, one waveform at a time."""
+    ``audio`` is false) each item's audio, synthesized and written on the
+    pool workers (see ``write_items``)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     logs = world.interactions
@@ -268,8 +271,7 @@ def write_world(world: World, out_dir, audio=True):
         out_dir / "latents.ftab", world.item_ids, world.item_latents, meta={"kind": "true_latents"}
     )
     if audio:
-        for item_id, wave in zip(world.item_ids, world.waveforms):
-            write_audio(out_dir / "audio", item_id, wave)
+        write_items(world.item_ids, world.waveforms, audio_dir=out_dir / "audio")
 
 
 def _write_labels(path, item_ids, labels, kind):
@@ -283,9 +285,10 @@ def _write_labels(path, item_ids, labels, kind):
                 fh.write(f"{item_id},{float(label)!r}\n")
 
 
-def _load_labels_csv(path, kind):
+def _load_labels_csv(path, kind, item_ids=None):
     """``{item_id: label}``; a malformed line, or one that is not UTF-8, raises
-    ``ValueError`` naming ``path:lineno``."""
+    ``ValueError`` naming ``path:lineno``.  Given ``item_ids``, the labels of
+    those items, in that order; one without a label raises naming ``path``."""
     parse, kind_name = (int, "an integer") if kind == "classification" else (float, "a number")
     labels = {}
     lines = fileio.text_lines(path)
@@ -305,7 +308,14 @@ def _load_labels_csv(path, kind):
             labels[item_id] = parse(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: label {value!r} is not {kind_name}") from None
-    return labels
+    if item_ids is None:
+        return labels
+    missing = [i for i in item_ids if i not in labels]
+    if missing:
+        raise ValueError(
+            f"{path}: labels file is missing {len(missing)} item ids, e.g. {missing[0]!r}"
+        )
+    return {i: labels[i] for i in item_ids}
 
 
 def _stage_world(settings, out_dir):
@@ -321,19 +331,43 @@ def _stage_world(settings, out_dir):
             raise ValueError(f"dataset path does not exist: {path}")
     logs = parse_log_file(paths["logs"])
     item_ids, waveforms = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
-    label_map = _load_labels_csv(paths["labels"], kind)
-    missing = [i for i in item_ids if i not in label_map]
-    if missing:
-        raise ValueError(f"labels file is missing {len(missing)} item ids, e.g. {missing[0]!r}")
-    _write_labels(out_dir / LABELS, item_ids, [label_map[i] for i in item_ids], kind)
+    labels = _load_labels_csv(paths["labels"], kind, item_ids)
+    _write_labels(out_dir / LABELS, item_ids, labels.values(), kind)
     return {"logs": logs, "audio": (item_ids, waveforms)}
 
 
+class AudioFiles(Sequence):
+    """Waveforms of audio files, in the given order, read when indexed.
+
+    An int index reads that file (``fileio.read_audio`` at
+    ``sample_rate``); a slice is an ``AudioFiles`` over those files.  It
+    holds only absolute paths and the rate, so a block of it pickles
+    small, and a pool worker, whose working directory was fixed when it
+    was spawned, finds the files.
+    """
+
+    def __init__(self, paths, sample_rate):
+        self.paths = [Path(p).absolute() for p in paths]
+        self.sample_rate = sample_rate
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AudioFiles(self.paths[index], self.sample_rate)
+        return Waveform(*fileio.read_audio(self.paths[index], expect_rate=self.sample_rate))
+
+
 def read_audio_dir(audio_dir, sample_rate):
-    """Item ids (file stems) and waveforms of the audio files in a directory."""
+    """Item ids (file stems) and waveforms (``AudioFiles``) of the audio
+    files in a directory.  Every file is read and checked here, one at a
+    time, so a bad file fails now; none is kept."""
     files = fileio.list_audio_files(audio_dir)
-    waveforms = [Waveform(*fileio.read_audio(f, expect_rate=sample_rate)) for f in files]
-    return [f.stem for f in files], waveforms
+    audio = AudioFiles(files, sample_rate)
+    for i in range(len(audio)):
+        audio[i]  # read, checked and dropped
+    return [f.stem for f in files], audio
 
 
 def fit_embedding(logs, config: AlsConfig, path):
@@ -344,36 +378,56 @@ def fit_embedding(logs, config: AlsConfig, path):
     return matrix, embedding
 
 
-def write_features(item_ids, waveforms, config: FeatureConfig, out_dir, audio_dir=None):
-    """Save each mel grid as ``<out_dir>/<item_id>.ftab``; returns the grid
-    shapes, in item order.
+def write_items(item_ids, waveforms, audio_dir=None, config=None, features_dir=None):
+    """One pass over the items on the pool workers: each item's waveform is
+    written as ``<audio_dir>/<item_id>.f32`` plus its sidecar if
+    ``audio_dir`` is given, and its mel grid as
+    ``<features_dir>/<item_id>.ftab`` if ``config`` is given.  Returns the
+    grid shapes, in item order.
 
-    One pass over ``waveforms``, which may synthesize each item as it is
-    read; given ``audio_dir``, each waveform is also written there (see
-    ``write_audio``).  No waveform or grid is kept once its grid is written.
+    ``waveforms`` is a picklable sequence whose slices are cheap (a
+    ``WorldAudio`` or ``AudioFiles``): contiguous blocks of ``ITEM_BLOCK``
+    items go to the workers (``pool.starmap``), and the calling process
+    synthesizes, reads and computes nothing.
     """
+    if len(waveforms) != len(item_ids):
+        raise ValueError(f"{len(item_ids)} item ids for {len(waveforms)} waveforms")
+    audio_dir, features_dir = (None if d is None else Path(d).absolute()
+                               for d in (audio_dir, features_dir))
+    blocks = pool.starmap(_write_block, [
+        (item_ids[a:a + ITEM_BLOCK], waveforms[a:a + ITEM_BLOCK], audio_dir, config, features_dir)
+        for a in range(0, len(item_ids), ITEM_BLOCK)
+    ])
+    return [shape for block in blocks for shape in block]
+
+
+def _write_block(item_ids, waveforms, audio_dir, config, features_dir):
+    """``write_items`` for one block, in the calling process (a pool worker).
+    One waveform and one grid are alive at a time."""
     shapes = []
-    for item_id, wave in zip(item_ids, waveforms):
-        mel = melspectrogram(wave, config)
+    for k, item_id in enumerate(item_ids):
+        wave = waveforms[k]
+        if config is not None:
+            mel = melspectrogram(wave, config)
+            fileio.save_float_table(
+                features_dir / f"{item_id}.ftab",
+                [f"mel_{i:03d}" for i in range(mel.n_mels)],
+                mel.grid,
+                meta={"item_id": item_id, "n_frames": mel.n_frames},
+            )
+            shapes.append(mel.grid.shape)
+            del mel
         if audio_dir is not None:
-            write_audio(audio_dir, item_id, wave)
-        fileio.save_float_table(
-            Path(out_dir) / f"{item_id}.ftab",
-            [f"mel_{i:03d}" for i in range(mel.n_mels)],
-            mel.grid,
-            meta={"item_id": item_id, "n_frames": mel.n_frames},
-        )
-        shapes.append(mel.grid.shape)
-        del mel  # so the next grid is computed with none alive
+            fileio.write_raw_float32(audio_dir / f"{item_id}.f32", wave.samples, wave.sample_rate)
+        del wave  # so the next item is read with none alive
     return shapes
 
 
 def _stage_features(settings, out_dir, item_ids, waveforms):
-    # A generated world's audio is synthesized and written here, in one pass
-    # with the grids, so only one batch of it is ever in memory.
+    # A generated world's audio is written here, in one pass with the grids.
     audio_dir = out_dir / "world" / "audio" if settings["world"] is not None else None
-    shapes = set(write_features(
-        item_ids, waveforms, settings["features"], out_dir / "features", audio_dir=audio_dir
+    shapes = set(write_items(
+        item_ids, waveforms, audio_dir, settings["features"], out_dir / "features"
     ))
     if len(shapes) != 1:
         raise ValueError(f"inconsistent mel grid shapes: {sorted(shapes)}")
@@ -555,13 +609,17 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
 
     Any stage failure raises :class:`StageError` naming the stage;
     artifacts written before the failure remain on disk.  An unknown stage,
-    or one listed without the stage whose handover it takes before it, is a
-    ValueError raised before anything runs.
+    one listed without the stage whose handover it takes before it, or (for
+    a list that does not start at world) a manifest whose upstream sections
+    differ from the run directory's ``manifest.json`` is a ValueError raised
+    before anything is written.
     """
     stages = tuple(stages)
     check_stages(stages)
     settings = validate_manifest(manifest)
     out_dir = Path(out_dir)
+    if stages[0] != "world":
+        check_upstream(manifest, out_dir / "manifest.json")
     out_dir.mkdir(parents=True, exist_ok=True)
     with fileio.atomic_write(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -582,6 +640,32 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
     return results
+
+
+def check_upstream(manifest, run_manifest):
+    """Raise ValueError naming the first key (sections in :data:`UPSTREAM`
+    order, keys sorted) whose value in ``manifest`` differs from the one in
+    ``run_manifest``, the ``manifest.json`` of the run directory whose files
+    later stages read; a key absent on one side reads as null.  A directory
+    with no ``manifest.json`` passes (the stages report what is missing)."""
+    if not Path(run_manifest).exists():
+        return
+    with open(run_manifest, "r", encoding="utf-8") as fh:
+        ran = json.load(fh)
+    if not isinstance(ran, dict):
+        raise ValueError(f"{run_manifest}: not a manifest (a JSON object)")
+    for section in UPSTREAM:
+        ours, theirs = manifest.get(section), ran.get(section)
+        if isinstance(ours, dict) and isinstance(theirs, dict):
+            keys = [f"{section}.{k}" for k in sorted(ours.keys() | theirs.keys())
+                    if ours.get(k) != theirs.get(k)]
+        else:
+            keys = [section] if ours != theirs else []
+        if keys:
+            raise ValueError(
+                f"manifest key '{keys[0]}' differs from {run_manifest}, which the earlier "
+                "stages ran with; use that manifest or rerun them"
+            )
 
 
 def check_stages(stages):

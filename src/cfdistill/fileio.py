@@ -170,8 +170,10 @@ def read_wav(path, expect_rate=None):
             warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
             rate, data = wavfile.read(io.BytesIO(blob))
     # scipy's reader raises UnboundLocalError when the header's chunk sizes
-    # run past the end of the file before any data chunk.
-    except (ValueError, struct.error, wavfile.WavFileWarning, UnboundLocalError) as exc:
+    # run past the end of the file before any data chunk,
+    # and ZeroDivisionError for a header of zero channels.
+    except (ValueError, struct.error, wavfile.WavFileWarning, UnboundLocalError,
+            ZeroDivisionError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.ndim} channels")
@@ -220,20 +222,24 @@ def write_raw_float32(path, samples, sample_rate):
 def read_raw_float32(path):
     """Read a raw float32 waveform written by :func:`write_raw_float32`.
 
-    The sidecar must be a JSON object with int ``sample_rate`` and
-    ``length``, and the file exactly ``4 * length`` bytes; anything else
-    raises ``ValueError`` naming the file.
+    The sidecar must be one line (its only newline the last byte) holding a
+    JSON object with int ``sample_rate`` and ``length``, and the file
+    exactly ``4 * length`` bytes; anything else raises ``ValueError``
+    naming the file.
     """
     sidecar_path = f"{path}.json"
     with open(sidecar_path, "rb") as fh:
-        try:
-            sidecar = json.loads(fh.read())
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise ValueError(f"{sidecar_path}: sidecar is not JSON ({exc})") from None
+        blob = fh.read()
+    try:
+        sidecar = json.loads(blob)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"{sidecar_path}: sidecar is not JSON ({exc})") from None
     if not (isinstance(sidecar, dict)
             and all(type(sidecar.get(k)) is int for k in ("sample_rate", "length"))):
         raise ValueError(f"{sidecar_path}: sidecar must be a JSON object with int "
                          f"'sample_rate' and 'length', got {sidecar!r:.80}")
+    if blob.find(b"\n") != len(blob) - 1:
+        raise ValueError(f"{sidecar_path}: sidecar must be one line ending in a newline")
     length, size = sidecar["length"], os.path.getsize(path)
     if size != 4 * length:
         raise ValueError(

@@ -8,8 +8,10 @@ reduced schedule for short synthetic clips.
 
 from __future__ import annotations
 
+import io
 import json
 import numbers
+import struct
 import zipfile
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -328,19 +330,50 @@ def save_checkpoint(model: NetworkModel, path, extra=None):
         np.savez(fh, arch=np.frombuffer(json.dumps(arch, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
+def _check_archive(archive: zipfile.ZipFile, blob):
+    """Raise ValueError unless the archive's end record ends ``blob`` with no
+    comment, and each member's local header repeats its central directory
+    entry, as ``save_checkpoint`` writes them.  (``zipfile`` reads only the
+    central directory, and the end record wherever it finds it.)"""
+    end = len(blob) - zipfile.sizeEndCentDir
+    if blob[end:end + 4] != zipfile.stringEndArchive or blob[-2:] != b"\0\0":
+        raise ValueError("bytes after the zip archive's end record")
+    for info in archive.infolist():
+        offset = info.header_offset
+        header = struct.unpack_from(zipfile.structFileHeader, blob, offset)
+        y, mo, d, h, mi, sec = info.date_time
+        sizes = (info.compress_size, info.file_size)
+        if header[8:10] == (0xFFFFFFFF, 0xFFFFFFFF):  # sizes in a zip64 extra record
+            extra = offset + zipfile.sizeFileHeader + header[10]
+            if struct.unpack_from("<2H2Q", blob, extra) == (1, 16, info.file_size,
+                                                            info.compress_size):
+                sizes = header[8:10]
+        want = (info.extract_version, info.reserved, info.flag_bits, info.compress_type,
+                h << 11 | mi << 5 | sec // 2, (y - 1980) << 9 | mo << 5 | d, info.CRC, *sizes)
+        if header[1:10] != want:
+            raise ValueError(f"local header of {info.filename!r} does not match the directory")
+
+
 def load_checkpoint(path, expect_specs=None, expect_input_shape=None):
     """Rebuild a model from a checkpoint.
 
     If the expected schedule or input shape is given and the file holds a
     different architecture, loading fails with a descriptive error.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        with np.load(path) as data:
+        with np.load(io.BytesIO(blob)) as data:
+            _check_archive(data.zip, blob)
             arch = json.loads(bytes(data["arch"]).decode())
             state = {k[len("state/") :]: data[k] for k in data.files if k.startswith("state/")}
     except KeyError:
         raise ValueError(f"{path}: checkpoint has no 'arch' record") from None
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:  # not a zip, cut short, bad JSON
+    # Not a zip, cut short, a damaged zip record or bad JSON; zipfile raises
+    # NotImplementedError and RuntimeError for flags it does not support, and
+    # OSError and struct.error come from offsets outside the file.
+    except (zipfile.BadZipFile, ValueError, EOFError, NotImplementedError, RuntimeError,
+            OSError, struct.error) as exc:
         raise ValueError(f"{path}: not a readable checkpoint: {exc}") from None
     if not isinstance(arch, dict) or arch.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version")

@@ -12,11 +12,8 @@ compete over.
 from __future__ import annotations
 
 import functools
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -70,7 +67,7 @@ class WorldConfig:
 class World:
     config: WorldConfig
     interactions: Interactions
-    waveforms: Sequence  # a WorldAudio, or any sequence of Waveforms
+    waveforms: Sequence  # a WorldAudio, or any picklable sequence of Waveforms
     labels: np.ndarray
     item_ids: list
     user_ids: list
@@ -95,8 +92,7 @@ def _synthesis_plan(n, sample_rate, band_low, band_high, latent_dim):
     """Sample times, each band's tone frequency in rad/s and a
     (latent_dim, n_bins) mask of each band's stop bins, for one world shape.
 
-    Built once per shape and read-only, so every item and every worker
-    thread shares it.
+    Built once per shape and read-only, so every item of the shape shares it.
     """
     edges = np.linspace(band_low, band_high, latent_dim + 1)
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
@@ -146,57 +142,31 @@ def item_waveform(config: WorldConfig, latent, item_index):
     return Waveform(wave, config.sample_rate)
 
 
-# Items synthesized per batch when a world's waveforms are iterated: a batch
-# is synthesized on the thread pool, then handed out one item at a time, so
-# one batch of float64 audio is alive at most (31 MB at 128 clips of 1.875 s
-# at 16 kHz).  Measured on the 800-item ingest world (2 cores, default
-# OpenBLAS threads, medians of 4): the audio+features pass took 5.28 s with
-# every item synthesized first, 5.32 s at 256, 5.72 s at 128 and 6.01 s at
-# 64, while peak RSS of the ingest job was 333, 211, 183 and 167 MB.  The
-# gap comes from OpenBLAS's second thread, which spins after the mel
-# products and slows the next batch's synthesis; with one BLAS thread every
-# size took 5.7-5.9 s.
-AUDIO_BATCH = 128
-
-
 class WorldAudio(Sequence):
-    """Every item's waveform, in item order, synthesized when it is read.
+    """Items' waveforms, in item order, synthesized when read.
 
-    Indexing synthesizes one item on the calling thread.  Iterating
-    synthesizes ``AUDIO_BATCH`` items at a time on ``workers`` threads (by
-    default one per CPU of this process) and lets go of each item once it is
-    handed out, so a pass over the audio never holds more than one batch.
-    Each item has its own generator, so the bytes do not depend on the
-    worker count or the batch size, and numpy releases the GIL in the draws,
-    FFTs and ``sin``.  Workers call nothing the benchmark's tracer wraps:
-    its span stack is process-wide, so spans opened from two threads would
-    get wrong parents.
+    An int index synthesizes that item on the calling thread.  A slice is
+    a ``WorldAudio`` over those items: it holds the config, their latents
+    and their indices in the world, so a block of items pickles in a few
+    hundred bytes and a pool worker synthesizes it (see
+    ``experiment.write_items``).  Each item draws from its own generator,
+    seeded by its index in the world, so its bytes do not depend on which
+    slice or process synthesizes it.
     """
 
-    def __init__(self, config: WorldConfig, item_latents, workers=None):
+    def __init__(self, config: WorldConfig, item_latents, indices=None):
         self.config = config
         self.item_latents = item_latents
-        self.workers = workers or len(os.sched_getaffinity(0))
+        self.indices = range(len(item_latents)) if indices is None else indices
 
     def __len__(self):
-        return self.config.n_items
+        return len(self.indices)
 
     def __getitem__(self, index):
-        i = range(len(self))[index]  # negative indices, IndexError past the end
-        return item_waveform(self.config, self.item_latents[i], i)
-
-    def __iter__(self):
-        n = len(self)
-        for start in range(0, n, AUDIO_BATCH):
-            stop = min(start + AUDIO_BATCH, n)
-            with ThreadPoolExecutor(min(self.workers, stop - start)) as pool:
-                batch = list(pool.map(
-                    item_waveform, repeat(self.config), self.item_latents[start:stop],
-                    range(start, stop),
-                ))
-            batch.reverse()
-            while batch:
-                yield batch.pop()
+        if isinstance(index, slice):
+            return WorldAudio(self.config, self.item_latents[index], self.indices[index])
+        i = self.indices[index]  # negative indices, IndexError past the end
+        return item_waveform(self.config, self.item_latents[index], i)
 
 
 def _make_labels(config: WorldConfig, item_latents, rng):

@@ -7,8 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +220,8 @@ class TestTrainTaskAlone:
             raise AssertionError("train-task regenerated the world or recomputed a mel grid")
 
         for module in (cli, experiment, world_module, features_module):
-            for name in ("generate_world", "melspectrogram"):
+            # write_items hands the mel grids to the pool workers
+            for name in ("generate_world", "melspectrogram", "write_items"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert cli_main(["train-task", str(path), "--out", str(split), "--deterministic"]) == 0
@@ -249,62 +248,49 @@ class TestTrainTaskAlone:
         assert file_digests(out) == want
 
 
-class TestStreamedAudio:
-    def test_features_stage_holds_one_mel_grid_at_a_time(self, tmp_path, monkeypatch):
-        """Each grid is written and dropped before the next is computed."""
-        live, peak, made = [0], [0], [0]
-        real = experiment.melspectrogram
+class TestTrainTaskManifest:
+    """``train-task`` takes the manifest ``train-estimator`` ran with: one whose
+    upstream sections differ fails before it writes anything."""
 
-        def released():
-            live[0] -= 1
-
-        def tracked(wave, config):
-            mel = real(wave, config)
-            weakref.finalize(mel.grid, released)
-            live[0] += 1
-            made[0] += 1
-            peak[0] = max(peak[0], live[0])
-            return mel
-
-        monkeypatch.setattr(experiment, "melspectrogram", tracked)
-        manifest = make_tiny_manifest()
-        run_experiment(manifest, tmp_path / "out", deterministic=True, stages=("world", "features"))
-        assert made[0] == manifest["world"]["n_items"]
-        assert peak[0] == 1
-
-
-    def test_run_synthesizes_each_item_once_and_holds_one_batch(self, tmp_path, monkeypatch):
-        """The features pass is the only reader of a world's audio, and it holds
-        at most one batch of waveforms plus one per worker thread."""
-        batch = 4
-        workers = min(batch, len(os.sched_getaffinity(0)))
-        lock = threading.Lock()
-        live, peak, made = [0], [0], []
-        real = world_module.item_waveform
-
-        def released():
-            with lock:
-                live[0] -= 1
-
-        def tracked(config, latent, index):
-            wave = real(config, latent, index)
-            weakref.finalize(wave, released)
-            with lock:
-                made.append(index)
-                live[0] += 1
-                peak[0] = max(peak[0], live[0])
-            return wave
-
-        monkeypatch.setattr(world_module, "item_waveform", tracked)
-        monkeypatch.setattr(world_module, "AUDIO_BATCH", batch)
+    def test_edited_split_is_refused_naming_the_key(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
         manifest = json.loads((CONFIGS / "tiny.json").read_text(encoding="utf-8"))
+        path.write_text(json.dumps(manifest), encoding="utf-8")
         out = tmp_path / "out"
-        run_experiment(manifest, out, deterministic=True)
-        n_items = manifest["world"]["n_items"]
-        assert sorted(made) == list(range(n_items))
-        assert 0 < peak[0] <= batch + workers
-        assert live[0] == 0
-        assert len(list((out / "world" / "audio").glob("*.f32"))) == n_items
+        assert cli_main(["train-estimator", str(path), "--out", str(out), "--deterministic"]) == 0
+        before = file_digests(out)
+        assert manifest["split"]["n_estimator_items"] == 20
+        manifest["split"]["n_estimator_items"] = 16
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["train-task", str(path), "--out", str(out), "--deterministic"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cfdistill: error: ")
+        assert "'split.n_estimator_items'" in err and str(out / "manifest.json") in err
+        assert file_digests(out) == before
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("dtype", None, "float64"),
+        ("features", "n_mels", 64),
+        ("world", "seed", 10),
+        ("estimator", "patience", 3),  # a key the run's manifest does not set
+    ])
+    def test_any_upstream_section_counts(self, tmp_path, section, key, value):
+        manifest = make_tiny_manifest()
+        run_experiment(manifest, tmp_path, stages=("world",))
+        if key is None:
+            manifest[section] = value
+        else:
+            manifest[section][key] = value
+        with pytest.raises(ValueError, match=f"manifest key '{section}{'.' + key if key else ''}'"):
+            run_experiment(manifest, tmp_path, stages=("tasks",))
+
+    def test_regimes_seeds_and_folds_may_change(self, tmp_path):
+        manifest = make_tiny_manifest()
+        run_experiment(manifest, tmp_path, stages=("world",))
+        manifest.update(seeds=[3, 4], folds=2, output_dir="elsewhere")
+        manifest["regimes"][0]["epochs"] = 1
+        experiment.check_upstream(manifest, tmp_path / "manifest.json")
 
 
 class TestDatasetMode:

@@ -231,6 +231,20 @@ class TestRawFloat32:
             read_raw_float32(path)
 
 
+    @pytest.mark.parametrize("suffix", ["", "\n\n", "\n ", " \n"])
+    def test_sidecar_must_be_one_line(self, tmp_path, suffix):
+        path = tmp_path / "h.f32"
+        write_raw_float32(path, np.zeros(100), 16000)
+        sidecar = Path(f"{path}.json")
+        assert sidecar.read_text(encoding="utf-8") == '{"sample_rate": 16000, "length": 100}\n'
+        sidecar.write_text('{"sample_rate": 16000, "length": 100}' + suffix, encoding="utf-8")
+        if suffix == " \n":  # spaces inside the line are JSON's business
+            assert read_raw_float32(path)[1] == 16000
+            return
+        with pytest.raises(ValueError, match="h.f32.json: sidecar must be one line"):
+            read_raw_float32(path)
+
+
 class TestAudioDirectory:
     def test_lists_and_reads_both_formats(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.zeros(100), 16000)
