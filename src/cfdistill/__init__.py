@@ -26,7 +26,6 @@ from .features import (
     FeatureConfig,
     MelSpectrogram,
     Waveform,
-    crop_middle,
     mel_filterbank,
     melspectrogram,
     stft_power,

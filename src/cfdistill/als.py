@@ -43,7 +43,7 @@ class AlsConfig:
 
 
 class UserItemMatrix:
-    """Sparse user-by-item play counts with id <-> index maps."""
+    """Sparse user-by-item play counts with the user and item id lists."""
 
     def __init__(self, counts: sp.csr_matrix, user_ids, item_ids):
         counts = counts.tocsr()
@@ -57,8 +57,6 @@ class UserItemMatrix:
         self.counts = counts
         self.user_ids = list(user_ids)
         self.item_ids = list(item_ids)
-        self.user_index = {u: i for i, u in enumerate(self.user_ids)}
-        self.item_index = {m: i for i, m in enumerate(self.item_ids)}
         # Each side's CSR arrays in shared memory for the ALS workers, made
         # on the side's first solve and freed with the matrix.
         self.shared_rows: dict = {}

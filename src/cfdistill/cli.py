@@ -16,10 +16,10 @@ Errors print a single machine-parsable line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from . import fileio
 from .als import AlsConfig, parse_log_file
 from .experiment import (
     ALL_STAGES,
@@ -42,8 +42,7 @@ def _read_config(path, section):
     """A config JSON object; settings nested under ``section`` are also accepted."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = fileio.read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object, got {type(config).__name__}")
     return config.get(section, config)

@@ -102,8 +102,7 @@ class StageError(RuntimeError):
 
 def load_manifest(path):
     """Read and validate a manifest file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = fileio.read_json(path)
     validate_manifest(manifest)
     return manifest
 
@@ -650,8 +649,7 @@ def check_upstream(manifest, run_manifest):
     with no ``manifest.json`` passes (the stages report what is missing)."""
     if not Path(run_manifest).exists():
         return
-    with open(run_manifest, "r", encoding="utf-8") as fh:
-        ran = json.load(fh)
+    ran = fileio.read_json(run_manifest)
     if not isinstance(ran, dict):
         raise ValueError(f"{run_manifest}: not a manifest (a JSON object)")
     for section in UPSTREAM:
@@ -680,16 +678,24 @@ def check_stages(stages):
 
 
 def read_results_csv(path):
-    """Parse a results.csv into a list of row dicts."""
+    """Parse a results.csv into a list of row dicts; a malformed line, or one
+    that is not UTF-8, raises ``ValueError`` naming ``path:lineno``."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(RESULT_COLUMNS):
-            raise ValueError(f"{path}: unexpected results header {header}")
-        for line in fh:
-            if line.strip():
-                values = zip(RESULT_COLUMNS.items(), line.strip().split(","), strict=True)
-                rows.append({name: kind(value) for (name, kind), value in values})
+    lines = fileio.text_lines(path)
+    header = next(lines, (1, ""))[1].strip().split(",")
+    if header != list(RESULT_COLUMNS):
+        raise ValueError(f"{path}: unexpected results header {header}")
+    for lineno, line in lines:
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        if len(fields) != len(RESULT_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(RESULT_COLUMNS)} fields, "
+                             f"got {len(fields)}")
+        try:
+            rows.append({name: kind(v) for (name, kind), v in zip(RESULT_COLUMNS.items(), fields)})
+        except ValueError as exc:  # an int or float field that does not parse
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no result rows")
     return rows

@@ -8,7 +8,6 @@ a triangular mel filterbank and optional log compression.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,19 +167,3 @@ def melspectrogram(wave: Waveform, config: FeatureConfig) -> MelSpectrogram:
         grid += config.log_floor
         np.log10(grid, out=grid)
     return MelSpectrogram(grid=grid, config=config)
-
-
-def crop_middle(wave: Waveform, seconds: float) -> Waveform:
-    """Centered slice of exactly ``seconds * sample_rate`` samples."""
-    want = round(seconds * wave.sample_rate)
-    if not math.isclose(want, seconds * wave.sample_rate):
-        raise ValueError(
-            f"{seconds} s is not a whole number of samples at {wave.sample_rate} Hz"
-        )
-    n = wave.samples.size
-    if n < want:
-        raise ValueError(
-            f"waveform of {n} samples is shorter than the requested {want}"
-        )
-    start = (n - want) // 2
-    return Waveform(wave.samples[start : start + want], wave.sample_rate)

@@ -121,6 +121,19 @@ def load_float_table(path):
     return ids, matrix.copy(), header.get("meta", {})
 
 
+def read_json(path):
+    """The value in a UTF-8 JSON file; a file that is not UTF-8 or not JSON
+    raises ``ValueError`` naming ``path``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+
+
 def text_lines(path):
     """``(lineno, line)`` of each line of a UTF-8 text file, from 1.
 

@@ -18,12 +18,10 @@ run in a worker not to fan out again.
 from __future__ import annotations
 
 import atexit
-import collections
 import multiprocessing
 import os
 import threading
 import time
-import types
 import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -94,55 +92,27 @@ def _started() -> ProcessPoolExecutor:
 
 
 def starmap(fn, arg_tuples):
-    """``[fn(*args) for args in arg_tuples]``, each call in a worker (see
-    :func:`starmap_blocks`)."""
-    return starmap_blocks(fn, ((args, _NO_BLOCK) for args in arg_tuples))
+    """``[fn(*args) for args in arg_tuples]``, each call in a worker.
 
-
-def starmap_blocks(fn, jobs):
-    """``[fn(*args) for args, block in jobs]``, each call in a worker, with
-    at most :func:`worker_count` calls in flight.
-
-    ``jobs`` is read lazily, one job each time a call may start, so at
-    most that many of its ``block`` objects (:class:`SharedArrays`, or
-    anything with a ``close()``) exist at once; each block is closed as
-    soon as its call has ended.  If a call raises, the calls already
-    started are waited for and every block is closed before the error is
-    raised.  A pool that a dying worker broke is shut down before the
-    error is raised, so the next call starts a new one.
+    Every call is submitted at once; the results come back in order.  If a
+    call raises, the calls not yet started are cancelled and the started
+    ones waited for before the error is raised.  A pool that a dying worker
+    broke is shut down before the error is raised, so the next call starts
+    a new one.
     """
-    executor, limit = _started(), worker_count()
-    running = collections.deque()
-    results = []
+    executor, futures = _started(), []
     try:
-        for args, block in jobs:
-            running.append((executor.submit(fn, *args), block))
-            if len(running) == limit:
-                results.append(_finish(*running.popleft()))
-        while running:
-            results.append(_finish(*running.popleft()))
+        for args in arg_tuples:
+            futures.append(executor.submit(fn, *args))
+        return [future.result() for future in futures]
     except BrokenProcessPool:
         shutdown()
         raise
     finally:
-        # Left here only when something raised: stop the calls that have not
-        # started, and wait for the others before freeing their blocks.
-        for future, _ in running:
+        # Only needed when something raised: every future is done otherwise.
+        for future in futures:
             future.cancel()
-        wait([future for future, _ in running])
-        for _, block in running:
-            block.close()
-    return results
-
-
-_NO_BLOCK = types.SimpleNamespace(close=lambda: None)
-
-
-def _finish(future, block):
-    try:
-        return future.result()
-    finally:
-        block.close()
+        wait(futures)
 
 
 def shutdown():

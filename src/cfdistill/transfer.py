@@ -155,32 +155,37 @@ def predict_network(model: NetworkModel, x, batch_size=64):
     """Eval-mode forward over batches, no caches kept.
 
     With two or more batches and two or more pool workers, each batch runs
-    in a worker (:mod:`cfdistill.pool`) unless this process is one.  A
-    worker gets its batch, cast to the model's dtype, in a shared block of
-    its own and writes its rows into one shared output table; at most one
-    batch per worker is in flight.  Each batch runs the same forward as it
-    would here, so the rows are the same bits either way.
+    in a worker (:mod:`cfdistill.pool`) unless this process is one.  The
+    batches go in rounds of one per worker: a round's rows, cast to the
+    model's dtype, share one block that is freed when the round ends, and
+    each worker writes its rows into one shared output table.  Each batch
+    runs the same forward as it would here, so the rows are the same bits
+    either way.
     """
     bounds = batch_bounds(len(x), batch_size)
     if len(bounds) < 2 or pool.worker_count() < 2 or pool.in_worker():
         return np.concatenate([
             model.forward(x[a:b], train=False, keep_cache=False)[0] for a, b in bounds
         ])
+    n = pool.worker_count()
     with pool.SharedArrays(np.empty((len(x), *model.output_shape), model.dtype)) as out:
-        def jobs():
-            for a, b in bounds:
-                batch = pool.SharedArrays(np.asarray(x[a:b], dtype=model.dtype))
-                yield (model, batch.handle, out.handle, a), batch
-
-        pool.starmap_blocks(_predict_batch, jobs())
+        for r in range(0, len(bounds), n):
+            batch_round = bounds[r:r + n]
+            first, last = batch_round[0][0], batch_round[-1][1]
+            with pool.SharedArrays(np.asarray(x[first:last], dtype=model.dtype)) as batches:
+                pool.starmap(_predict_batch, [
+                    (model, batches.handle, slice(a - first, b - first), out.handle, slice(a, b))
+                    for a, b in batch_round
+                ])
         return pool.load_shared(out.handle)[0]
 
 
-def _predict_batch(model, batch, out, first):
-    """One batch of :func:`predict_network`, run in a pool worker."""
-    (x,) = pool.load_shared(batch)
+def _predict_batch(model, batches, part, out, rows):
+    """One batch of :func:`predict_network`, run in a pool worker: rows
+    ``part`` of its round's block in, rows ``rows`` of the output table out."""
+    (x,) = pool.load_shared(batches, part)
     y, _ = model.forward(x, train=False, keep_cache=False)
-    pool.store_shared(out, slice(first, first + len(y)), y)
+    pool.store_shared(out, rows, y)
 
 
 def _epoch_batches(train_idx, batch_size, rng):
@@ -259,15 +264,13 @@ def train_cf_estimator(
 
     def step(batch):
         out, caches = model.forward(features[batch], train=True)
-        m_val, m_grad = mse_loss(out, targets[batch])
-        c_val, c_grad = cosine_proximity_loss(out, targets[batch])
-        _, grads = model.backward(caches, m_grad + c_grad)
+        loss, grad = distillation_loss(out, targets[batch])
+        _, grads = model.backward(caches, grad)
         adam_step(optimizer, model.named_params(), model.named_grads(grads))
-        return {"train_loss": m_val + c_val}
+        return {"train_loss": loss}
 
     def val_loss():
-        out = predict_network(model, features[val_idx])
-        return mse_loss(out, targets[val_idx])[0] + cosine_proximity_loss(out, targets[val_idx])[0]
+        return distillation_loss(predict_network(model, features[val_idx]), targets[val_idx])[0]
 
     curve, best_epoch, epochs_run = _fit(
         step, val_loss, model.get_state, model.set_state,

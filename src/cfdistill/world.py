@@ -81,12 +81,6 @@ def band_energies(latent):
     return 1.0 + 0.5 * np.asarray(latent, dtype=np.float64)
 
 
-def interaction_probability(user_latent, item_latent, scale, offset):
-    """Sigmoid affinity; approaches hard inner-product thresholding as the
-    scale grows."""
-    return sigmoid(scale * np.dot(user_latent, item_latent) + offset)
-
-
 @functools.lru_cache(maxsize=8)
 def _synthesis_plan(n, sample_rate, band_low, band_high, latent_dim):
     """Sample times, each band's tone frequency in rad/s and a

@@ -99,8 +99,8 @@ class TestBuildInteractionMatrix:
         ]
         m = build_interaction_matrix(interactions(logs))
         assert m.nnz == 2
-        assert m.counts[m.user_index["u1"], m.item_index["i1"]] == 2
-        assert m.counts[m.user_index["u1"], m.item_index["i2"]] == 1
+        assert m.counts[m.user_ids.index("u1"), m.item_ids.index("i1")] == 2
+        assert m.counts[m.user_ids.index("u1"), m.item_ids.index("i2")] == 1
 
     def test_empty_logs_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -96,6 +96,16 @@ def assert_rejected_before_any_stage(tmp_path, capsys, manifest):
     return err
 
 
+# Damaged JSON inputs: a file cut mid-object, and one that is not UTF-8.
+DAMAGED_JSON = {"cut": (b'{"task": {"kind": "cl', "not JSON"),
+                "not_utf8": (b'\xff{}', "not UTF-8 text")}
+
+
+def assert_one_error_naming(capsys, path, message):
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfdistill: error: {path}: {message}") and err.count("\n") == 1
+
+
 class TestGenerateWorld:
     def test_writes_world_files(self, tmp_path, capsys):
         config = tmp_path / "world.json"
@@ -122,6 +132,15 @@ class TestGenerateWorld:
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
         assert "world key 'n_items' must be int, got str '12'" in err
+        assert not (tmp_path / "world").exists()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_JSON))
+    def test_damaged_config_is_single_line_error(self, tmp_path, capsys, damage):
+        blob, message = DAMAGED_JSON[damage]
+        config = tmp_path / "world.json"
+        config.write_bytes(blob)
+        assert main(["generate-world", str(config), str(tmp_path / "world")]) == 1
+        assert_one_error_naming(capsys, config, message)
         assert not (tmp_path / "world").exists()
 
     def test_seed_override(self, tmp_path):
@@ -339,6 +358,26 @@ class TestManifestCommands:
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
         assert "JSON object, got list" in err
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_JSON))
+    def test_damaged_manifest_is_single_line_error(self, tmp_path, capsys, damage):
+        blob, message = DAMAGED_JSON[damage]
+        manifest, out = tmp_path / "manifest.json", tmp_path / "o"
+        manifest.write_bytes(blob)
+        assert main(["run", str(manifest), "--out", str(out)]) == 1
+        assert_one_error_naming(capsys, manifest, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_JSON))
+    def test_damaged_run_manifest_is_single_line_error(self, tmp_path, capsys, damage):
+        blob, message = DAMAGED_JSON[damage]
+        ran = tmp_path / "out" / "manifest.json"
+        ran.parent.mkdir()
+        ran.write_bytes(blob)
+        manifest = write_manifest(tmp_path, make_tiny_manifest())
+        assert main(["train-task", str(manifest), "--out", str(ran.parent)]) == 1
+        assert_one_error_naming(capsys, ran, message)
+        assert ran.read_bytes() == blob
+
     def test_invalid_manifest_is_single_line_error(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {"schema_version": 99})
         assert main(["run", str(manifest), "--out", str(tmp_path / "o")]) == 1
@@ -428,6 +467,22 @@ class TestEvaluate:
     def test_missing_results_file(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "none.csv")]) == 1
         assert capsys.readouterr().err.startswith("cfdistill: error:")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [(lambda row: row.rsplit(",", 1)[0] + "\n", "expected 8 fields, got 7"),
+         (lambda row: row.replace("0.600000", "abc"), "could not convert string to float: 'abc'"),
+         (lambda row: row.replace("kd", "k\udcffd"), "not UTF-8 text"),
+         (lambda row: row.replace(",3,", ",3.5,"), "invalid literal for int() with base 10: '3.5'")],
+        ids=["short_row", "bad_metric", "not_utf8", "bad_epochs"],
+    )
+    def test_damaged_row_names_file_and_line(self, tmp_path, capsys, damage, message):
+        path = self._results_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = damage(lines[3])
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        assert main(["evaluate", str(path)]) == 1
+        assert_one_error_naming(capsys, f"{path}:4", message)
 
 
 class TestUsage:

@@ -9,10 +9,11 @@ Each reader gets a file its writer wrote, damaged three ways:
 
 Every case must raise ``ValueError`` whose message names the damaged file,
 and no case may raise anything else.  The one exception is the documented
-one for the text formats: a cut in the middle of the last line can leave a
-shorter row that still parses (``u1<TAB>i1<TAB>1`` from ``...<TAB>12``, or a
-last line without its newline), and a ``logs.tsv`` cut at a line boundary
-is a shorter log.  Such a cut must parse to the intact file's rows, the
+one for the text formats (``labels.csv``, ``logs.tsv``, ``results.csv``): a
+cut in the middle of the last line can leave a shorter row that still
+parses (``u1<TAB>i1<TAB>1`` from ``...<TAB>12``, a time of ``1.`` from
+``1.250``, or a last line without its newline), and a ``logs.tsv`` or
+``results.csv`` cut at a line boundary has fewer rows.  Such a cut must parse to the intact file's rows, the
 last one possibly cut short.  Flips in the data itself (float values,
 audio samples, ids and labels) pass every reader: no format here has a
 checksum, except a checkpoint's CRC-32 per member.
@@ -30,8 +31,10 @@ from scipy.io import wavfile
 
 from cfdistill import fileio
 from cfdistill.als import parse_log_file
-from cfdistill.experiment import _load_labels_csv, _write_labels
+from cfdistill.experiment import (_load_labels_csv, _write_labels, read_results_csv,
+                                  write_results_csv)
 from cfdistill.nn.network import LayerSpec, build_network, load_checkpoint, save_checkpoint
+from cfdistill.transfer import ExperimentResult
 
 SEED = 15
 RATE = 16000
@@ -80,8 +83,15 @@ def _logs(path):
     return path, lambda p: parse_log_file(p)
 
 
+def _results(path):
+    write_results_csv(path, [("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.52, 3, 1.25)),
+                             ("genre", ExperimentResult("kd", 8, 0, 0, "accuracy", 0.6, 12, 2.5))])
+    return path, lambda p: read_results_csv(p)
+
+
 READERS = {"ftab": _ftab, "f32": _f32, "sidecar": _sidecar, "wav": _wav,
-           "checkpoint": _checkpoint, "labels": _labels, "logs": _logs}
+           "checkpoint": _checkpoint, "labels": _labels, "logs": _logs, "results": _results}
+TEXT = ("labels", "logs", "results")
 
 
 def _ftab_header(blob):
@@ -106,6 +116,7 @@ HEADERS = {
     "wav": lambda blob: [range(44)],
     "checkpoint": _zip_header,
     "labels": lambda blob: [range(blob.index(b"\n") + 1)],
+    "results": lambda blob: [range(blob.index(b"\n") + 1)],
     "logs": lambda blob: [],
 }
 
@@ -129,18 +140,26 @@ def _rows(parsed, name):
     """A text reader's result as a list of rows."""
     if name == "labels":
         return list(parsed.items())
+    if name == "results":
+        return [tuple(row.values()) for row in parsed]
     return [(parsed.user_ids[u], parsed.item_ids[i], int(c))
             for u, i, c in zip(parsed.users, parsed.items, parsed.counts)]
 
 
+def _digits(value):
+    """A parsed field as the text a cut could have left: a float ``1.0``
+    comes from ``1`` or ``1.``."""
+    return str(value).removesuffix(".0") if isinstance(value, float) else str(value)
+
+
 def _short_last_row(got, want):
     """Whether ``got`` is the first rows of ``want``, the last possibly cut
-    short: each field a prefix of the intact one (an int by its digits), or
+    short: each field a prefix of the intact one (a number by its digits), or
     a log count of 1, the format's default, when the cut took the count."""
     if not got or len(got) > len(want) or got[:-1] != want[:len(got) - 1]:
         return False
     last, intact = got[-1], want[len(got) - 1]
-    prefixes = [str(w).startswith(str(g)) for g, w in zip(last, intact)]
+    prefixes = [_digits(w).startswith(_digits(g)) for g, w in zip(last, intact)]
     return all(prefixes) or (len(last) == 3 and all(prefixes[:2]) and last[2] == 1)
 
 
@@ -166,7 +185,7 @@ def test_every_corruption_raises_a_value_error_naming_the_file(name, tmp_path):
             failures.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
         cut = label.startswith("cut")
-        if not (cut and name in ("labels", "logs")
+        if not (cut and name in TEXT
                 and _short_last_row(_rows(got, name), _rows(intact, name))):
             failures.append(f"{label}: accepted")
     assert cases > 8

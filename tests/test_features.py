@@ -8,7 +8,6 @@ from cfdistill import features
 from cfdistill.features import (
     FeatureConfig,
     Waveform,
-    crop_middle,
     hann_window,
     mel_filterbank,
     mel_to_hz,
@@ -196,23 +195,3 @@ class TestAgainstReference:
         for fn in (stft_power, ref.stft_power):
             with pytest.raises(ValueError, match="too short for reflect padding"):
                 fn(wave, config)
-
-
-class TestCropMiddle:
-    def test_centered_slice(self):
-        sr = 16000
-        samples = np.arange(60 * sr, dtype=float)
-        cropped = crop_middle(Waveform(samples, sr), 30.0)
-        assert cropped.samples.size == 30 * sr
-        assert cropped.samples[0] == 15 * sr
-        assert cropped.samples[-1] == 45 * sr - 1
-
-    def test_exact_length_is_identity(self):
-        sr = 16000
-        samples = np.random.default_rng(5).normal(size=30 * sr)
-        cropped = crop_middle(Waveform(samples, sr), 30.0)
-        np.testing.assert_array_equal(cropped.samples, samples)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="shorter"):
-            crop_middle(Waveform(np.zeros(10 * 16000), 16000), 30.0)

@@ -6,7 +6,6 @@ command line carries ``--multiprocessing-fork``.
 """
 
 import json
-import math
 import os
 import signal
 import subprocess
@@ -90,39 +89,35 @@ class TestWorkers:
             pool._init_worker(os.getpid())
 
 
-class _Block:
-    """Stands in for a SharedArrays block: counts how many are open."""
-
-    def __init__(self, live):
-        self.live = live
-        self.closed = False
-        live.append(self)
-
-    def close(self):
-        if not self.closed:
-            self.closed = True
-            self.live.remove(self)
+def _sleep_then(seconds, value):
+    time.sleep(seconds)
+    return value
 
 
-class TestStarmapBlocks:
-    def jobs(self, values, live, peak):
-        for v in values:
-            peak.append(len(live) + 1)
-            yield (v,), _Block(live)
+def _mark_after(seconds, path):
+    """Sleep, then create ``path``; with no path, raise instead."""
+    time.sleep(seconds)
+    if path is None:
+        raise ValueError("planned failure")
+    Path(path).touch()
 
-    def test_results_in_order_with_at_most_one_block_per_worker(self):
-        live, peak = [], []
-        got = pool.starmap_blocks(abs, self.jobs(range(-7, 0), live, peak))
-        assert got == [7, 6, 5, 4, 3, 2, 1]
-        assert max(peak) == min(pool.worker_count(), 7)
-        assert live == []
 
-    def test_a_failing_call_raises_after_every_block_is_closed(self):
-        live, peak = [], []
-        with pytest.raises(ValueError, match="math domain"):
-            pool.starmap_blocks(math.sqrt, self.jobs([1.0, -1.0, 4.0, 9.0, 16.0], live, peak))
-        assert live == []
-        assert max(peak) <= pool.worker_count()
+class TestStarmap:
+    def test_results_in_order_whatever_order_calls_end(self):
+        delays = [0.3, 0.0, 0.2, 0.0, 0.1, 0.0, 0.0]
+        got = pool.starmap(_sleep_then, [(d, i) for i, d in enumerate(delays)])
+        assert got == list(range(len(delays)))
+
+    def test_a_failing_call_raises_after_the_started_calls_end(self, tmp_path):
+        marks = [tmp_path / f"{i}" for i in range(20)]
+        calls = [(0.1, None), (1.0, marks[0])] + [(0.05, m) for m in marks[1:]]
+        with pytest.raises(ValueError, match="planned failure"):
+            pool.starmap(_mark_after, calls)
+        ended = set(tmp_path.iterdir())
+        assert marks[0] in ended  # started before the failure was seen, and waited for
+        assert len(ended) < len(marks)  # the calls not yet started were cancelled
+        time.sleep(0.3)
+        assert set(tmp_path.iterdir()) == ended  # no call was still running
 
     def test_worker_flag_set_in_workers_only(self):
         assert not pool.in_worker()

@@ -46,17 +46,25 @@ def shm_blocks():
     return {p.name for p in Path("/dev/shm").iterdir() if p.name.startswith("psm_")}
 
 
+def rounds(n, batch_size):
+    """predict_network's batches, grouped one per worker."""
+    bounds, k = batch_bounds(n, batch_size), pool.worker_count()
+    return [bounds[r:r + k] for r in range(0, len(bounds), k)]
+
+
 @pytest.fixture
 def pool_calls(monkeypatch):
-    """The number of predict_network calls that went to the pool."""
+    """Each pool call predict_network made: its jobs, and the shared-memory
+    blocks that existed when it was made."""
     calls = []
-    original = pool.starmap_blocks
+    original = pool.starmap
 
-    def counted(fn, jobs):
-        calls.append(fn)
-        return original(fn, jobs)
+    def recorded(fn, arg_tuples):
+        arg_tuples = list(arg_tuples)
+        calls.append((arg_tuples, shm_blocks()))
+        return original(fn, arg_tuples)
 
-    monkeypatch.setattr(pool, "starmap_blocks", counted)
+    monkeypatch.setattr(pool, "starmap", recorded)
     return calls
 
 
@@ -70,15 +78,43 @@ def test_pool_rows_equal_in_process_rows(size, dtype, pool_calls):
     got = transfer.predict_network(model, x, batch_size=BATCH)
     assert got.dtype == want.dtype == np.dtype(dtype)
     assert got.tobytes() == want.tobytes()
-    assert len(pool_calls) == (len(batch_bounds(len(x), BATCH)) > 1)
+    one_batch = len(batch_bounds(len(x), BATCH)) == 1
+    assert len(pool_calls) == (0 if one_batch else len(rounds(len(x), BATCH)))
     assert shm_blocks() <= before
+
+
+@needs_two_workers
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+def test_shared_input_is_one_round_of_batches(fails, pool_calls):
+    """Each pool call finds one input block, holding that round's batches
+    (one per worker), besides the output table; every block is gone at the end."""
+    model, x = desk_model("float32"), grids(SIZES["five"])
+    if fails:
+        x[-1, 0, 0, 0] = np.inf  # only the last round goes bad
+    before = shm_blocks()
+    try:
+        transfer.predict_network(model, x, batch_size=BATCH)
+    except FloatingPointError:
+        assert fails
+    else:
+        assert not fails
+    assert shm_blocks() <= before
+    want = rounds(len(x), BATCH)
+    assert len(want) > 1 and len(pool_calls) == len(want)
+    for (jobs, live), batch_round in zip(pool_calls, want):
+        assert len(jobs) == len(batch_round) <= pool.worker_count()
+        assert all(job[1] == jobs[0][1] for job in jobs)  # one input block per round
+        (name, [(_, shape, _)]), out = jobs[0][1], jobs[0][3][0]
+        assert shape[0] == batch_round[-1][1] - batch_round[0][0]
+        assert [job[4] for job in jobs] == [slice(a, b) for a, b in batch_round]
+        assert live - before == {name, out}  # earlier rounds' blocks are freed
 
 
 def test_one_batch_never_touches_the_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pool was used for one batch")
 
-    monkeypatch.setattr(pool, "starmap_blocks", refuse)
+    monkeypatch.setattr(pool, "starmap", refuse)
     monkeypatch.setattr(pool, "_started", refuse)
     model = desk_model("float32")
     for n in (1, 5, BATCH, BATCH + 1):  # BATCH + 1 is one batch after the merge

@@ -8,7 +8,6 @@ from cfdistill.world import (
     WorldConfig,
     band_energies,
     generate_world,
-    interaction_probability,
     item_waveform,
     mean_canonical_correlation,
 )
@@ -87,23 +86,30 @@ class TestEncoder:
 
 
 class TestAffinity:
+    """A user meets an item with probability sigmoid(scale * <u, z> + offset)."""
+
+    @staticmethod
+    def met(world):
+        """(inner products, interaction mask), both (n_users, n_items)."""
+        logs = world.interactions
+        mask = np.zeros((world.config.n_users, world.config.n_items), dtype=bool)
+        mask[logs.users, logs.items] = True
+        return world.user_latents @ world.item_latents.T, mask
+
     def test_sigmoid_limit_is_thresholding(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            u = rng.normal(size=4)
-            z = rng.uniform(-1, 1, size=4)
-            x = float(u @ z)
-            if abs(x) < 1e-3:
-                continue
-            p = interaction_probability(u, z, scale=1e8, offset=0.0)
-            assert p == pytest.approx(1.0 if x > 0 else 0.0, abs=1e-6)
+        config = WorldConfig(n_users=40, n_items=48, affinity_scale=1e8, affinity_offset=0.0,
+                             seed=2)
+        x, mask = self.met(generate_world(config))
+        # Items no user is aligned with get a fallback user; skip them and
+        # the pairs too close to the threshold to saturate the sigmoid.
+        keep = (np.abs(x) >= 1e-3) & (x.max(axis=0) > 0)
+        assert keep.sum() > 1000
+        np.testing.assert_array_equal(mask[keep], x[keep] > 0)
 
     def test_probability_monotone_in_alignment(self):
-        u = np.array([1.0, 0.0, 0.0, 0.0])
-        aligned = interaction_probability(u, np.array([0.9, 0, 0, 0]), 3.0, -1.0)
-        opposed = interaction_probability(u, np.array([-0.9, 0, 0, 0]), 3.0, -1.0)
-        assert aligned > opposed
-
+        x, mask = self.met(generate_world(WorldConfig(n_users=200, n_items=100, seed=2)))
+        aligned, opposed = mask[x > 0.5].mean(), mask[x < -0.5].mean()
+        assert aligned > 2 * opposed
 
 class TestLabels:
     def test_classification_labels_balanced(self, small_world):
