@@ -8,7 +8,6 @@ from .als import (
     als_fit,
     als_solve_side,
     build_interaction_matrix,
-    confidence,
     item_vector,
     load_embedding,
     parse_log_file,

@@ -167,13 +167,6 @@ def parse_log_file(path) -> Interactions:
     )
 
 
-def confidence(r, alpha):
-    """Linear confidence 1 + alpha * r of an observed count r."""
-    if np.any(np.asarray(r) < 0):
-        raise ValueError("counts must be nonnegative")
-    return 1.0 + alpha * np.asarray(r, dtype=np.float64)
-
-
 @dataclass
 class CfEmbedding:
     """User and item factor tables from one ALS fit."""

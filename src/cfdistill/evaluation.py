@@ -92,18 +92,6 @@ def stratified_split(labels, fractions, seed=0):
     return [np.sort(np.asarray(g, dtype=np.int64)) for g in groups]
 
 
-def plain_split(n, fractions, seed=0):
-    """Unstratified shuffled split, same convention as stratified_split."""
-    if sum(fractions) >= 1.0:
-        raise ValueError("split fractions must sum to < 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    bounds = np.cumsum([round(n * f) for f in fractions])
-    tail = np.split(order[: bounds[-1]], bounds[:-1])
-    groups = [order[bounds[-1] :]] + list(tail)
-    return [np.sort(g) for g in groups]
-
-
 def paired_improvement_test(results_a, results_b):
     """Two-sided paired Student t-test of matched metric lists.
 

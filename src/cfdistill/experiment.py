@@ -38,9 +38,9 @@ from .als import (
     parse_log_file,
     save_embedding,
 )
-from .evaluation import paired_improvement_test, plain_split, stratified_kfold, stratified_split
+from .evaluation import paired_improvement_test, stratified_kfold, stratified_split
 from .features import FeatureConfig, Waveform, melspectrogram
-from .nn.network import PRESETS, layer_shapes, load_checkpoint, save_checkpoint
+from .nn.network import PRESETS, build_network, load_checkpoint, save_checkpoint
 from .transfer import (
     RegimeConfig,
     TaskData,
@@ -206,7 +206,7 @@ def validate_manifest(manifest):
         specs, input_shape = PRESETS[arch["preset"]](
             arch["n_channels"], **({} if fifth is None else {"include_fifth_block": fifth})
         )
-        layer_shapes(specs, input_shape)
+        build_network(specs, input_shape)  # a throwaway build checks every layer's shape
     except (TypeError, ValueError) as exc:
         raise ValueError(f"manifest architecture: {exc}") from None
     dtype = top["dtype"]
@@ -468,8 +468,9 @@ def _stage_estimator(settings, out_dir):
         if np.any(norms == 0):
             raise ValueError("cannot normalize zero embedding targets")
         targets = targets / norms
-    train_idx, val_idx = plain_split(
-        n_est, (settings["estimator_val_fraction"],), seed=[config.seed, 3]
+    one_stratum = np.zeros(n_est, dtype=np.int64)
+    train_idx, val_idx = stratified_split(
+        one_stratum, (settings["estimator_val_fraction"],), seed=[config.seed, 3]
     )
     model, info = train_cf_estimator(
         features, targets, settings["specs"], settings["input_shape"], config, train_idx, val_idx
@@ -483,28 +484,15 @@ def _stage_estimator(settings, out_dir):
 
 
 def _make_splits(task: TaskSpec, labels, folds, seed, val_fraction, test_fraction):
-    """Per-seed (train, val, test, fold_index) splits over the task items."""
-    n = len(labels)
+    """Per-seed (train, val, test, fold_index) splits over the task items,
+    stratified by class; regression items are one stratum."""
+    strata = labels if task.kind == "classification" else np.zeros(len(labels), dtype=np.int64)
     if folds == 1:
-        if task.kind == "classification":
-            train, val, test = stratified_split(labels, (val_fraction, test_fraction), seed=seed)
-        else:
-            train, val, test = plain_split(n, (val_fraction, test_fraction), seed=seed)
-        return [(train, val, test, 0)]
+        return [(*stratified_split(strata, (val_fraction, test_fraction), seed=seed), 0)]
     out = []
-    if task.kind == "classification":
-        for f, (trainval, test) in enumerate(stratified_kfold(labels, k=folds, seed=seed)):
-            sub_train, sub_val = stratified_split(labels[trainval], (val_fraction,), seed=[seed, f])
-            out.append((trainval[sub_train], trainval[sub_val], test, f))
-    else:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        chunks = np.array_split(order, folds)
-        for f in range(folds):
-            test = np.sort(chunks[f])
-            trainval = np.sort(np.concatenate([chunks[g] for g in range(folds) if g != f]))
-            sub_train, sub_val = plain_split(trainval.size, (val_fraction,), seed=[seed, f])
-            out.append((trainval[sub_train], trainval[sub_val], test, f))
+    for f, (trainval, test) in enumerate(stratified_kfold(strata, k=folds, seed=seed)):
+        sub_train, sub_val = stratified_split(strata[trainval], (val_fraction,), seed=[seed, f])
+        out.append((trainval[sub_train], trainval[sub_val], test, f))
     return out
 
 
@@ -692,10 +680,15 @@ def read_results_csv(path):
         if len(fields) != len(RESULT_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(RESULT_COLUMNS)} fields, "
                              f"got {len(fields)}")
+        raw = dict(zip(RESULT_COLUMNS, fields))
         try:
-            rows.append({name: kind(v) for (name, kind), v in zip(RESULT_COLUMNS.items(), fields)})
+            row = {name: RESULT_COLUMNS[name](v) for name, v in raw.items()}
         except ValueError as exc:  # an int or float field that does not parse
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for name in ("metric", "seconds"):
+            if not np.isfinite(row[name]):
+                raise ValueError(f"{path}:{lineno}: {name} {raw[name]!r} is not finite")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no result rows")
     return rows

@@ -84,10 +84,9 @@ def _positive_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
 
 
-def _layer(spec, shape, dtype):
-    """How to build the layer for ``spec`` on per-sample input ``shape``, and
-    its output shape: ``(make, out_shape)``, where ``make(rng)`` builds the
-    layer and draws its weights from ``rng``.
+def _layer(spec, shape, rng, dtype):
+    """The layer for ``spec`` on per-sample input ``shape``, its weights drawn
+    from ``rng``, and its output shape.
 
     Raises ValueError if the layer cannot take that input.
     """
@@ -95,45 +94,25 @@ def _layer(spec, shape, dtype):
         raise ValueError(f"{spec.kind} needs (H, W, C) input, got {shape}")
     if spec.kind == "conv2d":
         out_shape = (*shape[:2], spec.out_channels)
-        return (lambda rng: Conv2d(shape[2], spec.out_channels, rng, dtype=dtype)), out_shape
+        return Conv2d(shape[2], spec.out_channels, rng, dtype=dtype), out_shape
     if spec.kind == "batch_norm":
-        return (lambda rng: BatchNorm(shape[-1], dtype=dtype)), shape
+        return BatchNorm(shape[-1], dtype=dtype), shape
     if spec.kind == "relu":
-        return (lambda rng: ReLU()), shape
+        return ReLU(), shape
     if spec.kind == "max_pool":
         (h, w, c), (ph, pw) = shape, spec.pool
         if h % ph or w % pw:
             raise ValueError(f"pool {spec.pool} does not divide ({h}, {w})")
-        return (lambda rng: MaxPool(spec.pool)), (h // ph, w // pw, c)
+        return MaxPool(spec.pool), (h // ph, w // pw, c)
     if spec.kind == "se_block":
         if shape[2] % spec.ratio:
             raise ValueError(f"se_block ratio {spec.ratio} does not divide {shape[2]} channels")
-        return (lambda rng: SEBlock(shape[2], spec.ratio, rng, dtype=dtype)), shape
+        return SEBlock(shape[2], spec.ratio, rng, dtype=dtype), shape
     if spec.kind == "global_avg_pool":
-        return (lambda rng: GlobalAvgPool()), shape[2:]
+        return GlobalAvgPool(), shape[2:]
     if len(shape) != 1:
         raise ValueError(f"fully_connected needs flat input, got {shape}")
-    return (lambda rng: FullyConnected(shape[0], spec.width, rng, dtype=dtype)), (spec.width,)
-
-
-def _plan(specs, input_shape, dtype=np.float64):
-    """``(make, out_shape)`` of each layer of a schedule (see :func:`_layer`).
-
-    Raises ValueError for an empty schedule or a layer that cannot take its input.
-    """
-    if not specs:
-        raise ValueError("a network needs at least one layer")
-    shape, plan = tuple(input_shape), []
-    for spec in specs:
-        make, shape = _layer(spec, shape, dtype)
-        plan.append((make, shape))
-    return plan
-
-
-def layer_shapes(specs, input_shape):
-    """Per-sample output shape of each layer of a schedule, without building
-    it; raises ValueError as :func:`build_network` would."""
-    return [shape for _, shape in _plan(specs, input_shape)]
+    return FullyConnected(shape[0], spec.width, rng, dtype=dtype), (spec.width,)
 
 
 def _keyed(dicts):
@@ -252,10 +231,15 @@ def build_network(specs, input_shape, seed=0, dtype=np.float64):
 
     Raises ValueError for an empty schedule or a layer that cannot take its input.
     """
-    plan = _plan(specs, input_shape, dtype)
+    if not specs:
+        raise ValueError("a network needs at least one layer")
     rng = np.random.default_rng(seed)
-    layers = [make(rng) for make, _ in plan]
-    return NetworkModel(specs, input_shape, layers, [shape for _, shape in plan], dtype=dtype)
+    shape, layers, shapes = tuple(input_shape), [], []
+    for spec in specs:
+        layer, shape = _layer(spec, shape, rng, dtype)
+        layers.append(layer)
+        shapes.append(shape)
+    return NetworkModel(specs, input_shape, layers, shapes, dtype=dtype)
 
 
 def double_conv(out_channels, se_ratio=8):

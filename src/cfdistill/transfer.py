@@ -84,7 +84,6 @@ class RegimeConfig:
 class TaskSpec:
     kind: str  # "classification" | "regression"
     n_classes: Optional[int] = None
-    target_dim: Optional[int] = None
     metric: Optional[str] = None  # None: the kind's metric
 
     def __post_init__(self):
@@ -95,7 +94,6 @@ class TaskSpec:
             if self.metric != "accuracy":
                 raise ValueError("classification tasks use the accuracy metric")
         elif self.kind == "regression":
-            self.target_dim = self.target_dim or 1
             if self.metric != "r_squared":
                 raise ValueError("regression tasks use the r_squared metric")
         else:
@@ -103,7 +101,7 @@ class TaskSpec:
 
     @property
     def output_dim(self) -> int:
-        return self.n_classes if self.kind == "classification" else self.target_dim
+        return self.n_classes if self.kind == "classification" else 1
 
 
 @dataclass

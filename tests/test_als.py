@@ -9,7 +9,6 @@ from cfdistill.als import (
     als_fit,
     als_solve_side,
     build_interaction_matrix,
-    confidence,
     item_vector,
     load_embedding,
     parse_log_file,
@@ -114,21 +113,6 @@ class TestBuildInteractionMatrix:
         m = build_interaction_matrix(interactions(logs))
         assert m.n_users == len({user for user, _, _ in logs})
         assert m.n_items == len({item for _, item, _ in logs})
-
-
-class TestConfidence:
-    def test_unobserved_has_unit_confidence(self):
-        assert confidence(0, 40.0) == 1.0
-
-    def test_single_play(self):
-        assert confidence(1, 40.0) == 41.0
-
-    def test_fractional_alpha(self):
-        assert confidence(3, 0.5) == 2.5
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            confidence(-1, 40.0)
 
 
 class TestAlsSolveSide:

@@ -400,12 +400,12 @@ class TestManifestCommands:
         [
             "architecture.n_chanels", "task.n_clases", "split.val_fration", "fold",
             "world.n_user", "als.n_factor", "features.n_mel", "regimes[1].kd_wieght",
-            "regimes[0].seed", "datasets.label",
+            "regimes[0].seed", "datasets.label", "task.target_dim",
         ],
     )
     def test_unknown_section_key_is_single_line_error(self, tmp_path, capsys, path):
         err = assert_rejected_before_any_stage(tmp_path, capsys, manifest_with(path, 1))
-        assert f"'{path}'" in err
+        assert f"unknown manifest key '{path}'" in err
 
     @pytest.mark.parametrize(
         "path, value, message", BAD_VALUES, ids=[path for path, _, _ in BAD_VALUES]
@@ -415,7 +415,7 @@ class TestManifestCommands:
         assert message in err
 
     def test_schedule_that_does_not_fit_is_single_line_error(self, tmp_path, capsys):
-        # 4 channels pass LayerSpec's own checks; only the shape walk sees the SE ratio
+        # 4 channels pass LayerSpec's own checks; only building the network sees the SE ratio
         manifest = manifest_with("architecture.n_channels", 4)
         err = assert_rejected_before_any_stage(tmp_path, capsys, manifest)
         assert "manifest architecture: se_block ratio 8 does not divide 4 channels" in err
@@ -473,8 +473,10 @@ class TestEvaluate:
         [(lambda row: row.rsplit(",", 1)[0] + "\n", "expected 8 fields, got 7"),
          (lambda row: row.replace("0.600000", "abc"), "could not convert string to float: 'abc'"),
          (lambda row: row.replace("kd", "k\udcffd"), "not UTF-8 text"),
-         (lambda row: row.replace(",3,", ",3.5,"), "invalid literal for int() with base 10: '3.5'")],
-        ids=["short_row", "bad_metric", "not_utf8", "bad_epochs"],
+         (lambda row: row.replace(",3,", ",3.5,"), "invalid literal for int() with base 10: '3.5'"),
+         (lambda row: row.replace("0.600000", "nan"), "metric 'nan' is not finite"),
+         (lambda row: row.replace(",0.000\n", ",inf\n"), "seconds 'inf' is not finite")],
+        ids=["short_row", "bad_metric", "not_utf8", "bad_epochs", "nan_metric", "inf_seconds"],
     )
     def test_damaged_row_names_file_and_line(self, tmp_path, capsys, damage, message):
         path = self._results_file(tmp_path)

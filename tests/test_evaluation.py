@@ -1,16 +1,28 @@
 """Metrics, stratified folds, and the paired comparison test."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from cfdistill.evaluation import (
     accuracy,
     paired_improvement_test,
-    plain_split,
     r_squared,
     stratified_kfold,
     stratified_split,
 )
+
+
+def plain_split(n, fractions, seed=0):
+    """Unstratified shuffled split: the reference that a split over one
+    stratum must reproduce bit for bit (regression items, estimator items)."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    bounds = np.cumsum([round(n * f) for f in fractions])
+    tail = np.split(order[: bounds[-1]], bounds[:-1])
+    groups = [order[bounds[-1] :]] + list(tail)
+    return [np.sort(g) for g in groups]
 
 
 class TestAccuracy:
@@ -126,10 +138,17 @@ class TestSplits:
             for cls in range(3):
                 assert np.sum(labels[part] == cls) == round(20 * frac)
 
-    def test_plain_split_partitions(self):
-        train, val, test = plain_split(50, (0.2, 0.2), seed=1)
-        combined = np.sort(np.concatenate([train, val, test]))
-        np.testing.assert_array_equal(combined, np.arange(50))
+    def test_one_stratum_matches_plain_split(self):
+        sweep = itertools.product(
+            range(3, 160), (0, 1, 12345, [3, 0], [7, 17], [2, 17, 1]),
+            ((0.2,), (0.5,), (0.2, 0.2), (0.15, 0.25)),
+        )
+        for n, seed, fractions in sweep:
+            got = stratified_split(np.zeros(n, dtype=np.int64), fractions, seed=seed)
+            want = plain_split(n, fractions, seed=seed)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w, strict=True)
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,38 @@ class TestTaskCells:
             metric = r_squared(predict_network(model, features[test])[:, 0], targets[test])
             assert f"{metric:.6f}" == f"{row['metric']:.6f}", cell
 
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    def test_kfold_cells_partition_the_task_items(self, tmp_path, kind):
+        """folds > 1: per seed, the folds' test sets partition the task items,
+        and classes are dealt evenly over the folds."""
+        manifest = make_tiny_manifest(seeds=[0, 1], folds=2)
+        manifest["world"] = dict(manifest["world"], n_items=60, task_kind=kind)
+        if kind == "regression":
+            manifest["task"] = {"kind": "regression", "name": "tiny"}
+        out = tmp_path / "out"
+        run_experiment(manifest, out, deterministic=True)
+        folds = json.loads((out / "folds.json").read_text())
+        n_task = len(folds["task_items"])
+        assert n_task == 40
+        lines = (out / "world" / "labels.csv").read_text().splitlines()[1:]
+        labels = dict(line.split(",") for line in lines)
+        labels = np.array([labels[i] for i in folds["task_items"]])
+        for seed in (0, 1):
+            cells = [c for c in folds["cells"] if c["seed"] == seed]
+            assert [c["fold"] for c in cells] == [0, 1]
+            tests = [c["test"] for c in cells]
+            assert sorted(sum(tests, [])) == list(range(n_task))
+            for c in cells:
+                parts = [set(c["train"]), set(c["val"]), set(c["test"])]
+                assert all(parts) and sum(map(len, parts)) == len(set.union(*parts))
+            if kind == "classification":
+                for cls in np.unique(labels):
+                    counts = [np.sum(labels[t] == cls) for t in tests]
+                    assert max(counts) - min(counts) <= 1
+        rows = read_results_csv(out / "results.csv")
+        cells = sorted((r["seed"], r["fold"], r["regime"]) for r in rows)
+        assert cells == [(s, f, r) for s in (0, 1) for f in (0, 1) for r in ("base", "kd")]
+
     def test_estimator_forward_over_task_items_runs_once(self, tmp_path, monkeypatch):
         """fix and kd cells share one estimator forward over the task items."""
         manifest = four_regime_manifest()

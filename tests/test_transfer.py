@@ -337,7 +337,7 @@ class TestRegressionTask:
             val_idx=idx[16:20],
             test_idx=idx[20:],
         )
-        task = TaskSpec(kind="regression", target_dim=1, metric="r_squared")
+        task = TaskSpec(kind="regression", metric="r_squared")
         _, result = train_task(
             task, data, TINY_SPECS, TINY_SHAPE, 2,
             RegimeConfig(regime="base", epochs=4, batch_size=8, seed=1),
