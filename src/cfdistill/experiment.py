@@ -319,20 +319,28 @@ def _load_labels_csv(path, kind, item_ids=None):
 
 def _stage_world(settings, out_dir):
     """Write ``world/``; returns the in-memory handover: ``{"logs": interactions,
-    "audio": (item ids, lazy waveforms)}``."""
+    "audio": (item ids, lazy waveforms)}``.  Once the labels are written it
+    builds every seed's task splits, so a split that would be empty fails
+    here and not after the estimator has trained."""
     if settings["world"] is not None:
         world = generate_world(settings["world"])
         write_world(world, out_dir / "world", audio=False)  # see _stage_features
-        return {"logs": world.interactions, "audio": (world.item_ids, world.waveforms)}
-    paths, kind = settings["datasets"], settings["task"].kind
-    for path in paths.values():
-        if not Path(path).exists():
-            raise ValueError(f"dataset path does not exist: {path}")
-    logs = parse_log_file(paths["logs"])
-    item_ids, waveforms = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
-    labels = _load_labels_csv(paths["labels"], kind, item_ids)
-    _write_labels(out_dir / LABELS, item_ids, labels.values(), kind)
-    return {"logs": logs, "audio": (item_ids, waveforms)}
+        handover = {"logs": world.interactions, "audio": (world.item_ids, world.waveforms)}
+    else:
+        paths, kind = settings["datasets"], settings["task"].kind
+        for path in paths.values():
+            if not Path(path).exists():
+                raise ValueError(f"dataset path does not exist: {path}")
+        logs = parse_log_file(paths["logs"])
+        item_ids, waveforms = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
+        labels = _load_labels_csv(paths["labels"], kind, item_ids)
+        _write_labels(out_dir / LABELS, item_ids, labels.values(), kind)
+        handover = {"logs": logs, "audio": (item_ids, waveforms)}
+    _, labels, n_est = _read_items(settings, out_dir)
+    for seed in settings["seeds"]:
+        for train_idx, val_idx, test_idx, _ in _make_splits(settings, labels[n_est:], seed):
+            TaskData(None, None, train_idx, val_idx, test_idx)  # raises on an empty split
+    return handover
 
 
 class AudioFiles(Sequence):
@@ -483,15 +491,18 @@ def _stage_estimator(settings, out_dir):
     )
 
 
-def _make_splits(task: TaskSpec, labels, folds, seed, val_fraction, test_fraction):
-    """Per-seed (train, val, test, fold_index) splits over the task items,
-    stratified by class; regression items are one stratum."""
-    strata = labels if task.kind == "classification" else np.zeros(len(labels), dtype=np.int64)
+def _make_splits(settings, labels, seed):
+    """(train, val, test, fold_index) splits over the task items for one
+    manifest seed, stratified by class; regression items are one stratum."""
+    split, folds, seed = settings["split"], settings["folds"], [seed, 17]
+    fractions = (split["val_fraction"], split["test_fraction"])
+    kind = settings["task"].kind
+    strata = labels if kind == "classification" else np.zeros(len(labels), dtype=np.int64)
     if folds == 1:
-        return [(*stratified_split(strata, (val_fraction, test_fraction), seed=seed), 0)]
+        return [(*stratified_split(strata, fractions, seed=seed), 0)]
     out = []
     for f, (trainval, test) in enumerate(stratified_kfold(strata, k=folds, seed=seed)):
-        sub_train, sub_val = stratified_split(strata[trainval], (val_fraction,), seed=[seed, f])
+        sub_train, sub_val = stratified_split(strata[trainval], fractions[:1], seed=[seed, f])
         out.append((trainval[sub_train], trainval[sub_val], test, f))
     return out
 
@@ -508,16 +519,12 @@ def _stage_tasks(settings, out_dir, deterministic):
     # The estimator's outputs over the task items, computed once for every fix and kd cell.
     uses_teacher = any(r.regime in ("fix", "kd") for r in settings["regimes"])
     teacher = predict_network(estimator, features) if uses_teacher else None
-    split, task_name, n_channels = settings["split"], settings["task_name"], settings["n_channels"]
+    task_name, n_channels = settings["task_name"], settings["n_channels"]
 
     results = []
     fold_records = []
     for seed in settings["seeds"]:
-        splits = _make_splits(
-            task, labels, settings["folds"], [seed, 17],
-            split["val_fraction"], split["test_fraction"],
-        )
-        for train_idx, val_idx, test_idx, fold in splits:
+        for train_idx, val_idx, test_idx, fold in _make_splits(settings, labels, seed):
             fold_records.append(
                 {
                     "seed": int(seed),

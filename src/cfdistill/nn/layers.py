@@ -8,12 +8,30 @@ eval-mode cache of ``BatchNorm``, ``ReLU`` and ``MaxPool`` holds only the
 input it was given: eval forwards mostly run without caches, so they
 build none, and a backward pass after one rebuilds what it needs from
 the input, with the same operations as the train-mode forward.
+
+Per-channel elementwise ops (batch norm's subtract, scale and shift, the
+SE gate, the conv bias) run on wide rows (``_wide``): a contiguous
+(..., C) map viewed as rows of k*C values, k = gcd(rows, 256), with the
+(C,) or (N, C) operand tiled k times.  At C = 8 numpy's inner loop then
+runs up to 2048 values long instead of 8.  The conv's tap sum runs in
+blocks of 4096 grid rows, so each block's partial sum stays in cache over
+its nine products (Goto and van de Geijn, ACM TOMS 2008).  Reductions
+(``einsum``, ``mean``, ``sum``), the conv's ``dw`` and the max-pool are
+not restructured.  None of this changes an operand or the order of a sum,
+so every output is the same bits as before; the tests compare against the
+earlier layers kept in ``tests/reference_layers.py``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import expit as sigmoid
+
+WIDE_ROWS = 256  # k in _wide divides this; 256*C values is a long inner loop
+TAP_BLOCK = 4096  # grid rows per block of _tap_sum
+MIN_TAP_ROWS = 4  # a shorter last block is merged into the one before it
 
 
 class Layer:
@@ -35,6 +53,25 @@ class Layer:
 
 def _he_normal(rng, shape, fan_in, dtype):
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+
+
+def _wide(a, *vectors):
+    """``a``, a (..., C) array, as rows of k*C values, and each (C,) or
+    (N, C) vector tiled k times along its last axis to broadcast against
+    them.  For (N, C) vectors the rows are per sample and the view is
+    (N, rows/k, k*C).  k = gcd(rows, ``WIDE_ROWS``), so it always divides.
+
+    A per-channel elementwise op on a (rows, C) array runs numpy's inner
+    loop only C values long; on the wide view it runs k*C long, with the
+    same operation on the same operands for every value, so the bits are
+    the same.  A non-contiguous ``a`` is copied, so write only into views
+    of arrays made here.
+    """
+    lead = vectors[0].shape[:-1]
+    rows = math.prod(a.shape[len(lead) : -1])
+    k = math.gcd(rows, WIDE_ROWS)
+    view = a.reshape(*lead, rows // k, k * a.shape[-1])
+    return (view, *(np.tile(v, k)[..., None, :] for v in vectors))
 
 
 def _channel_sum(a):
@@ -65,11 +102,23 @@ def _pad_flat(x):
 
 
 def _tap_sum(flat, taps, offsets):
-    """``sum_t flat[o_t : o_t + grid] @ taps[t]``: one output row per grid row."""
-    grid = len(flat) - offsets[-1]
-    out = flat[:grid] @ taps[0]
-    for t in range(1, 9):
-        out += flat[offsets[t] : offsets[t] + grid] @ taps[t]
+    """``sum_t flat[o_t : o_t + grid] @ taps[t]``: one output row per grid row.
+
+    The grid rows are summed in blocks of ``TAP_BLOCK`` (the last block at
+    least ``MIN_TAP_ROWS``), so a block's partial sum stays in cache over
+    its nine products.  A one-column product is a BLAS gemv, whose rounding
+    depends on its length, so it is not blocked.
+    """
+    grid, width = len(flat) - offsets[-1], taps.shape[-1]
+    out = np.empty((grid, width), dtype=np.result_type(flat, taps))
+    starts = list(range(0, grid, TAP_BLOCK if width > 1 else max(grid, 1)))
+    if len(starts) > 1 and grid - starts[-1] < MIN_TAP_ROWS:
+        starts.pop()
+    for r0, r1 in zip(starts, starts[1:] + [grid]):
+        block = out[r0:r1]
+        np.matmul(flat[r0:r1], taps[0], out=block)
+        for t in range(1, 9):
+            block += flat[offsets[t] + r0 : offsets[t] + r1] @ taps[t]
     return out
 
 
@@ -78,17 +127,27 @@ def _crop(rows, n, h, w):
     return rows.reshape(n, h + 2, w + 2, -1)[:, :h, :w, :]
 
 
+def _crop_add(rows, b, n, h, w):
+    """``_crop(rows, n, h, w) + b`` as one add of (N, H, W*O) wide rows, ``b``
+    tiled W times, into a contiguous output."""
+    o = len(b)
+    out = np.empty((n, h, w * o), dtype=np.result_type(rows, b))
+    np.add(rows.reshape(n, h + 2, (w + 2) * o)[:, :h, : w * o], np.tile(b, w), out=out)
+    return out.reshape(n, h, w, o)
+
+
 class Conv2d(Layer):
     """3x3 cross-correlation with zero 'same' padding, stride 1.
 
     The input is zero-padded to (N, H+2, W+2, C) and flattened to rows of
     C channels.  On that grid tap (ki, kj) is the contiguous row slice that
     starts at ki*(W+2)+kj, so the forward pass is nine (rows, C) @ (C, O)
-    products summed on the padded grid and cropped to H x W.  Rows that
-    run past a map's right edge or into the next sample land only in the
-    cropped border.  With one input channel the nine slices are stacked
-    into a (9, rows) matrix instead and multiplied once.  The train cache
-    is the flattened padded input, or that (9, rows) matrix.
+    products summed on the padded grid (``_tap_sum``, in row blocks) and
+    cropped to H x W, the bias added in the same pass.  Rows that run past
+    a map's right edge or into the next sample land only in the cropped
+    border.  With one input channel the nine slices are stacked into a
+    (9, rows) matrix instead and multiplied once.  The train cache is the
+    flattened padded input, or that (9, rows) matrix.
     """
 
     def __init__(self, in_channels, out_channels, rng, dtype=np.float64):
@@ -115,7 +174,7 @@ class Conv2d(Layer):
             out = xp.T @ wk[:, 0, :]
         else:
             out = _tap_sum(xp, wk, offsets)
-        return _crop(out, n, h, w) + self.params["b"], (x.shape, xp)
+        return _crop_add(out, self.params["b"], n, h, w), (x.shape, xp)
 
     def backward(self, dout, cache):
         (n, h, w, c), xp = cache
@@ -169,27 +228,32 @@ class BatchNorm(Layer):
             if x.shape[0] < 2:
                 raise ValueError("train-mode batch norm needs a batch of >= 2")
             mean = _channel_sum(x2) / len(x2)
-            xhat = x2 - mean
-            var = np.einsum("ij,ij->j", xhat, xhat) / len(x2)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean, var = self.running_mean, self.running_var
-            xhat = x2 - mean
+        xw, mw = _wide(x2, mean)
+        xhat = xw - mw
+        if train:
+            x2hat = xhat.reshape(x2.shape)
+            var = np.einsum("ij,ij->j", x2hat, x2hat) / len(x2)
+            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv
+        _, iw, gw, bw = _wide(x2, inv, self.params["gamma"], self.params["beta"])
+        xhat *= iw
         # An eval cache keeps no x-hat, so eval scales it in place into the output.
-        gamma = self.params["gamma"]
-        out = xhat * gamma if train else np.multiply(xhat, gamma, out=xhat)
-        out += self.params["beta"]
-        return out.reshape(x.shape), (xhat, inv, None) if train else (x2, inv, mean)
+        out = xhat * gw if train else np.multiply(xhat, gw, out=xhat)
+        out += bw
+        cache = (xhat.reshape(x2.shape), inv, None) if train else (x2, inv, mean)
+        return out.reshape(x.shape), cache
 
     def backward(self, dout, cache):
         xhat, inv, eval_mean = cache
         was_train = eval_mean is None
         if not was_train:  # an eval cache holds the input: rebuild x-hat
-            xhat = xhat - eval_mean
-            xhat *= inv
+            xw, mw, iw = _wide(xhat, eval_mean, inv)
+            rebuilt = xw - mw
+            rebuilt *= iw
+            xhat = rebuilt.reshape(xhat.shape)
         d2 = dout.reshape(xhat.shape)
         dgamma = np.einsum("ij,ij->j", d2, xhat)
         dbeta = _channel_sum(d2)
@@ -197,12 +261,14 @@ class BatchNorm(Layer):
         if was_train:
             # dx = gamma * inv * (d - dbeta/m - xhat * dgamma/m)
             m = len(d2)
-            dx = xhat * (-dgamma / m)
-            dx += d2
-            dx -= dbeta / m
-            dx *= scale
+            xw, gw, bw, sw = _wide(xhat, -dgamma / m, dbeta / m, scale)
+            dx = xw * gw
+            dx += d2.reshape(dx.shape)
+            dx -= bw
+            dx *= sw
         else:
-            dx = d2 * scale
+            d2w, sw = _wide(d2, scale)
+            dx = d2w * sw
         return dx.reshape(dout.shape), {"gamma": dgamma, "beta": dbeta}
 
 
@@ -300,13 +366,13 @@ class SEBlock(Layer):
         z1 = s @ self.params["w1"] + self.params["b1"]
         a1 = np.maximum(z1, 0.0)
         gate = sigmoid(a1 @ self.params["w2"] + self.params["b2"])
-        out = x * gate[:, None, None, :]
-        return out, (x, s, z1, a1, gate)
+        out = np.multiply(*_wide(x, gate))
+        return out.reshape(x.shape), (x, s, z1, a1, gate)
 
     def backward(self, dout, cache):
         x, s, z1, a1, gate = cache
         _, h, w, _ = x.shape
-        dx = dout * gate[:, None, None, :]
+        dx = np.multiply(*_wide(dout, gate)).reshape(dout.shape)
         dgate = np.sum(dout * x, axis=(1, 2))
         dz2 = dgate * gate * (1.0 - gate)
         dw2 = a1.T @ dz2
@@ -315,7 +381,8 @@ class SEBlock(Layer):
         dw1 = s.T @ dz1
         db1 = dz1.sum(axis=0)
         ds = dz1 @ self.params["w1"].T
-        dx += ds[:, None, None, :] / (h * w)
+        dxw, dsw = _wide(dx, ds / (h * w))
+        dxw += dsw
         return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 

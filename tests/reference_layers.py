@@ -11,13 +11,21 @@ builds x-hat and then the output in both modes, the ReLU builds its mask
 in both modes, and the max-pool copies its windows into a six-axis
 transpose and takes ``argmax``/``take_along_axis``.  The tests require the
 library's layers to give the same bits, forward and backward.
+
+``FlatConv2d`` and ``SEBlock`` are the library's layers as they were
+before their per-channel ops ran on wide rows and the tap sum ran in row
+blocks: the conv sums each tap's product over the whole padded grid, then
+crops and adds the bias by broadcasting, and the SE gate multiplies by
+broadcasting over (N, 1, 1, C).  The tests require the same bits here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cfdistill.nn.layers import Layer, _channel_sum, _he_normal
+from scipy.special import expit as sigmoid
+
+from cfdistill.nn.layers import Layer, _channel_sum, _he_normal, _pad_flat, _tap_offsets
 
 
 class Conv2d(Layer):
@@ -230,3 +238,95 @@ class MaxPool(Layer):
             .reshape(n, h, w, c)
         )
         return dx, {}
+
+
+def _tap_sum(flat, taps, offsets):
+    """``sum_t flat[o_t : o_t + grid] @ taps[t]``: one output row per grid row."""
+    grid = len(flat) - offsets[-1]
+    out = flat[:grid] @ taps[0]
+    for t in range(1, 9):
+        out += flat[offsets[t] : offsets[t] + grid] @ taps[t]
+    return out
+
+
+def _crop(rows, n, h, w):
+    """The (N, H, W, C) top-left corner of rows laid out on the padded grid."""
+    return rows.reshape(n, h + 2, w + 2, -1)[:, :h, :w, :]
+
+
+class FlatConv2d(Layer):
+    """3x3 cross-correlation with zero 'same' padding, stride 1, as nine
+    (rows, C) @ (C, O) products over the flattened padded grid."""
+
+    def __init__(self, in_channels, out_channels, rng, dtype=np.float64):
+        super().__init__()
+        self.in_channels = in_channels
+        self.out_channels = out_channels
+        self.params = {
+            "w": _he_normal(rng, (3, 3, in_channels, out_channels), 9 * in_channels, dtype),
+            "b": np.zeros(out_channels, dtype=dtype),
+        }
+
+    def forward(self, x, train=False):
+        n, h, w, c = x.shape
+        offsets = _tap_offsets(w)
+        xp = _pad_flat(x)
+        wk = self.params["w"].reshape(9, c, self.out_channels)
+        if c == 1:
+            grid = len(xp) - offsets[-1]
+            xp = np.stack([xp[o : o + grid, 0] for o in offsets])
+            out = xp.T @ wk[:, 0, :]
+        else:
+            out = _tap_sum(xp, wk, offsets)
+        return _crop(out, n, h, w) + self.params["b"], (x.shape, xp)
+
+    def backward(self, dout, cache):
+        (n, h, w, c), xp = cache
+        offsets = _tap_offsets(w)
+        dpad = _pad_flat(dout)
+        grid = len(dpad) - offsets[-1]
+        dflat = dpad[offsets[4] : offsets[4] + grid]
+        if c == 1:
+            dw = xp @ dflat
+        else:
+            dw = np.stack([xp[o : o + grid].T @ dflat for o in offsets])
+        flipped = self.params["w"][::-1, ::-1].transpose(0, 1, 3, 2).reshape(9, -1, c)
+        dx = _crop(_tap_sum(dpad, flipped, offsets), n, h, w)
+        grads = {"w": dw.reshape(self.params["w"].shape), "b": _channel_sum(dflat)}
+        return dx, grads
+
+
+class SEBlock(Layer):
+    """Squeeze-and-excitation channel gate, broadcast over (N, 1, 1, C)."""
+
+    def __init__(self, channels, ratio, rng, dtype=np.float64):
+        super().__init__()
+        hidden = channels // ratio
+        self.params = {
+            "w1": _he_normal(rng, (channels, hidden), channels, dtype),
+            "b1": np.zeros(hidden, dtype=dtype),
+            "w2": _he_normal(rng, (hidden, channels), hidden, dtype),
+            "b2": np.zeros(channels, dtype=dtype),
+        }
+
+    def forward(self, x, train=False):
+        s = x.mean(axis=(1, 2))
+        z1 = s @ self.params["w1"] + self.params["b1"]
+        a1 = np.maximum(z1, 0.0)
+        gate = sigmoid(a1 @ self.params["w2"] + self.params["b2"])
+        return x * gate[:, None, None, :], (x, s, z1, a1, gate)
+
+    def backward(self, dout, cache):
+        x, s, z1, a1, gate = cache
+        _, h, w, _ = x.shape
+        dx = dout * gate[:, None, None, :]
+        dgate = np.sum(dout * x, axis=(1, 2))
+        dz2 = dgate * gate * (1.0 - gate)
+        dw2 = a1.T @ dz2
+        db2 = dz2.sum(axis=0)
+        dz1 = (dz2 @ self.params["w2"].T) * (z1 > 0)
+        dw1 = s.T @ dz1
+        db1 = dz1.sum(axis=0)
+        ds = dz1 @ self.params["w1"].T
+        dx += ds[:, None, None, :] / (h * w)
+        return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}

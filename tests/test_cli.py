@@ -326,6 +326,16 @@ class TestManifestCommands:
         err = capsys.readouterr().err
         assert "stage=tasks" in err and err.count("\n") == 1
 
+    def test_empty_fold_split_fails_in_world_stage(self, tmp_path, capsys):
+        # 16 task items of 4 classes: each of 2 folds' train+val has 2 per
+        # class, and round(2 * 0.2) leaves the val split empty.
+        manifest = write_manifest(tmp_path, make_tiny_manifest(folds=2))
+        out = tmp_path / "out"
+        assert main(["run", str(manifest), "--out", str(out), "--deterministic"]) == 1
+        err = capsys.readouterr().err
+        assert err == "cfdistill: error: stage=world: train, val and test splits must all be nonempty\n"
+        assert not (out / "embeddings").exists() and not (out / "checkpoints").exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "not_a_zip"])
     def test_damaged_estimator_checkpoint_is_single_line_error(self, tmp_path, capsys, damage):
         manifest = write_manifest(tmp_path, make_tiny_manifest())

@@ -2,11 +2,14 @@
 
 ``reference_layers`` holds the im2col ``Conv2d`` and the axis-reducing
 ``BatchNorm`` that the flat-offset conv and the 2-D batch norm replaced,
-compared within a tolerance, and the ``FlatBatchNorm``, ``ReLU`` and
-``MaxPool`` that built caches in eval mode too, compared bit for bit.
-The shapes are every conv and batch-norm shape of the desk estimator
+compared within a tolerance, and the ``FlatBatchNorm``, ``ReLU``,
+``MaxPool``, ``FlatConv2d`` and ``SEBlock`` that the layers' later forms
+replaced without changing their arithmetic, compared bit for bit.  The
+shapes are every conv and batch-norm shape of the desk estimator
 (``cf_estimator_desk`` with 8 channels on 96x80 grids) at the training
-batch of 8, plus the 96x80 shapes at the catalog batch of 64.
+batch of 8, plus the 96x80 shapes at the catalog batch of 64 and a few
+shapes that reach the edges of the conv's row blocks and of the
+batch norm's and SE gate's wide rows.
 """
 
 import numpy as np
@@ -33,6 +36,12 @@ DESK_CONV_SHAPES = [
     (8, 4, 1, 8, 8),
 ]
 CATALOG_CONV_SHAPES = [(64, 96, 80, 1, 8), (64, 96, 80, 8, 8)]
+# Padded grids of 4097 rows (the 1-row tail merged into the first tap
+# block) and 8200 rows (a short third block of 8), and the one-column
+# products, which are gemvs and not blocked: the dx of one input channel
+# and the forward of one output channel.
+EDGE_CONV_SHAPES = [(1, 15, 239, 8, 8), (1, 80, 98, 8, 8), (1, 80, 98, 1, 8), (2, 15, 239, 8, 1),
+                    (3, 5, 7, 8, 8)]
 # (N, H, W, C): the batch-norm inputs of the desk estimator
 DESK_BN_SHAPES = [(8, 96, 80, 1)] + [(n, h, w, o) for n, h, w, _, o in DESK_CONV_SHAPES]
 
@@ -69,23 +78,30 @@ def _compare_step(fast, slow, x, dout, train, tol):
 
 def _conv_cases():
     cases = [(s, d) for s in DESK_CONV_SHAPES for d in ("float64", "float32")]
-    # the reference's 9x patch matrix at batch 64 is large; float32 only
-    return cases + [(s, "float32") for s in CATALOG_CONV_SHAPES]
+    cases += [(s, "float32") for s in CATALOG_CONV_SHAPES]
+    # appended, so the ids of the cases above stay
+    return cases + [(s, "float64") for s in CATALOG_CONV_SHAPES] + [
+        (s, d) for s in EDGE_CONV_SHAPES for d in ("float64", "float32")]
 
 
 @pytest.mark.parametrize("shape,dtype", _conv_cases())
 def test_conv2d_matches_im2col_reference(shape, dtype):
+    """Within a tolerance of the im2col conv, and the same bits as the flat
+    tap-sum conv, in train and eval mode."""
     n, h, w, c, o = shape
     rng = np.random.default_rng(sum(shape))
     fast = Conv2d(c, o, np.random.default_rng(1), dtype=dtype)
     slow = ref.Conv2d(c, o, np.random.default_rng(1), dtype=dtype)
+    flat = ref.FlatConv2d(c, o, np.random.default_rng(1), dtype=dtype)
     bias = rng.normal(size=o).astype(dtype)
-    fast.params["b"][...] = bias
-    slow.params["b"][...] = bias
+    for layer in (fast, slow, flat):
+        layer.params["b"][...] = bias
     x = rng.normal(size=(n, h, w, c)).astype(dtype)
     dout = rng.normal(size=(n, h, w, o)).astype(dtype)
     tol = F64_TOL if dtype == "float64" else F32_TOL
     _compare_step(fast, slow, x, dout, True, tol)
+    for train in (True, False):
+        _same_step(fast, flat, x, dout, train)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -157,17 +173,24 @@ def _assert_same_bits(got, want, what):
     assert got.tobytes() == want.tobytes(), f"{what}: bits differ"
 
 
+def _strided(a):
+    """``a``'s values in a non-contiguous layout (axes 1 and 2 swapped in memory)."""
+    return np.ascontiguousarray(np.swapaxes(a, 1, 2)).swapaxes(1, 2) if a.ndim == 4 else a.T.copy().T
+
+
 def _same_step(fast, slow, x, dout, train):
-    """Forward and backward of two layers give the same bits."""
+    """Forward and backward of two layers give the same bits, backward from
+    ``dout`` and from a non-contiguous copy of it."""
     y_fast, cache_fast = fast.forward(x, train=train)
     y_slow, cache_slow = slow.forward(x, train=train)
     _assert_same_bits(y_fast, y_slow, "output")
-    dx_fast, g_fast = fast.backward(dout, cache_fast)
-    dx_slow, g_slow = slow.backward(dout, cache_slow)
-    _assert_same_bits(dx_fast, dx_slow, "dx")
-    assert sorted(g_fast) == sorted(g_slow)
-    for name in g_slow:
-        _assert_same_bits(g_fast[name], g_slow[name], f"d{name}")
+    for upstream in (dout, _strided(dout)):
+        dx_fast, g_fast = fast.backward(upstream, cache_fast)
+        dx_slow, g_slow = slow.backward(upstream, cache_slow)
+        _assert_same_bits(dx_fast, dx_slow, "dx")
+        assert sorted(g_fast) == sorted(g_slow)
+        for name in g_slow:
+            _assert_same_bits(g_fast[name], g_slow[name], f"d{name}")
 
 
 def _tied(rng, shape, dtype):
@@ -211,7 +234,8 @@ def test_relu_same_bits_as_mask_reference(dtype, train):
 
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("dtype", BIT_DTYPES)
-@pytest.mark.parametrize("shape", DESK_BN_SHAPES + [(8, 40)])
+@pytest.mark.parametrize(
+    "shape", DESK_BN_SHAPES + [(8, 40), (64, 96, 80, 1), (64, 96, 80, 8), (3, 5, 7, 8)])
 def test_batch_norm_same_bits_as_flat_reference(shape, dtype, train):
     c = shape[-1]
     rng = np.random.default_rng(sum(shape))
@@ -246,6 +270,9 @@ def _layer_cases():
         cases.append(("se_block", lambda r, d: SEBlock(8, 8, r, dtype=d), shape, True))
     cases.append(("global_avg_pool", lambda r, d: GlobalAvgPool(), (8, 4, 1, 8), True))
     cases.append(("fully_connected", lambda r, d: FullyConnected(8, 40, r, dtype=d), (8, 8), True))
+    for shape in [(8, 96, 80, 8), (8, 24, 16, 8), (8, 4, 1, 8), (64, 96, 80, 8), (3, 5, 7, 8)]:
+        for train in (False,) if shape[0] == 8 else (True, False):
+            cases.append(("se_block", lambda r, d: SEBlock(8, 8, r, dtype=d), shape, train))
     return cases
 
 
@@ -262,7 +289,8 @@ def test_float32_agrees_with_float64(kind, make, shape, train):
 
     Inputs, upstream gradients and parameters are float32 values in both
     runs, so only the arithmetic precision differs; inputs are distinct,
-    so max-pool and ReLU make the same choices in both.
+    so max-pool and ReLU make the same choices in both.  Each SE block also
+    gives the same bits as the broadcasting ``reference_layers.SEBlock``.
     """
     rng = np.random.default_rng(len(shape) * 1000 + sum(shape))
     size = int(np.prod(shape))
@@ -281,6 +309,11 @@ def test_float32_agrees_with_float64(kind, make, shape, train):
     d_out = rng.normal(size=y64.shape).astype(np.float32)
     dx64, g64 = high.backward(d_out.astype(np.float64), c64)
     dx32, g32 = low.backward(d_out, c32)
+    if kind == "se_block":
+        for layer, x, d in ((low, x32, d_out), (high, x32.astype(np.float64), d_out.astype(np.float64))):
+            twin = ref.SEBlock(8, 8, np.random.default_rng(0), dtype=x.dtype)
+            twin.params = {k: v.copy() for k, v in layer.params.items()}
+            _same_step(layer, twin, x, d, train)
     assert y32.dtype == np.float32 and dx32.dtype == np.float32
     assert all(g.dtype == np.float32 for g in g32.values())
     _assert_scaled(y32, y64, F32_TOL, np.max(np.abs(y64)), f"{kind} output")
