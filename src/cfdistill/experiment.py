@@ -172,8 +172,9 @@ def _section(values, path, cls=None, required=(), **fixed):
 def validate_manifest(manifest):
     """Parse a manifest into the settings its stages use, keyed as returned.
 
-    Every key, and each range its config class checks, is checked here
-    before any stage runs.  Each regime's seed is set per cell from ``seeds``.
+    Every key, each range its config class checks, and each setting that
+    must agree with one in another section is checked here before any stage
+    runs.  Each regime's seed is set per cell from ``seeds``.
     """
     top = _section(manifest, "")
     if top["schema_version"] != SCHEMA_VERSION:
@@ -194,10 +195,8 @@ def validate_manifest(manifest):
     classes = isinstance(top["task"], dict) and top["task"].get("kind") == "classification"
     task = _section(top["task"], "task", TaskSpec, required=("n_classes",) if classes else ())
     world = None if top["world"] is None else _section(top["world"], "world", WorldConfig)
-    if world is not None and world.task_kind != task.kind:
-        raise ValueError(
-            f"manifest world.task_kind {world.task_kind!r} != task.kind {task.kind!r}"
-        )
+    als = _section(top["als"], "als", AlsConfig)
+    features = _section(top["features"], "features", FeatureConfig)
     arch = _section(top["architecture"], "architecture")
     if arch["preset"] not in PRESETS:
         raise ValueError(f"unknown architecture preset {arch['preset']!r}")
@@ -206,9 +205,25 @@ def validate_manifest(manifest):
         specs, input_shape = PRESETS[arch["preset"]](
             arch["n_channels"], **({} if fifth is None else {"include_fifth_block": fifth})
         )
-        build_network(specs, input_shape)  # a throwaway build checks every layer's shape
+        # a throwaway build checks every layer's shape
+        width = build_network(specs, input_shape).output_shape[0]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"manifest architecture: {exc}") from None
+    # (key, value, the key or setting it must equal, its value)
+    pairs = [("als.n_factors", als.n_factors, "the architecture.preset output width", width)]
+    if world is not None:
+        pairs += [
+            ("world.task_kind", world.task_kind, "task.kind", task.kind),
+            ("world.sample_rate", world.sample_rate, "features.sample_rate", features.sample_rate),
+            ("mel grids (features.n_mels, frames of world.duration)",
+             (features.n_mels, features.n_frames(world.n_samples)),
+             "the architecture.preset input", tuple(input_shape[:2])),
+        ]
+        if task.kind == "classification":
+            pairs.append(("world.n_classes", world.n_classes, "task.n_classes", task.n_classes))
+    for key, ours, other, theirs in pairs:
+        if ours != theirs:
+            raise ValueError(f"manifest {key} {ours!r} != {other} {theirs!r}")
     dtype = top["dtype"]
     if dtype not in ("float32", "float64"):
         raise ValueError(f"manifest key 'dtype' must be 'float32' or 'float64', got {dtype!r}")
@@ -217,8 +232,7 @@ def validate_manifest(manifest):
     return {
         "task": task, "task_name": top["task"].get("name") or task.kind,
         "world": world, "datasets": None if world else _section(top["datasets"], "datasets"),
-        "als": _section(top["als"], "als", AlsConfig),
-        "features": _section(top["features"], "features", FeatureConfig),
+        "als": als, "features": features,
         "preset": arch["preset"], "n_channels": arch["n_channels"],
         "specs": specs, "input_shape": input_shape,
         "train": train, "estimator_val_fraction": estimator["val_fraction"],
@@ -284,11 +298,13 @@ def _write_labels(path, item_ids, labels, kind):
                 fh.write(f"{item_id},{float(label)!r}\n")
 
 
-def _load_labels_csv(path, kind, item_ids=None):
-    """``{item_id: label}``; a malformed line, or one that is not UTF-8, raises
-    ``ValueError`` naming ``path:lineno``.  Given ``item_ids``, the labels of
-    those items, in that order; one without a label raises naming ``path``."""
-    parse, kind_name = (int, "an integer") if kind == "classification" else (float, "a number")
+def _load_labels_csv(path, task, item_ids=None):
+    """``{item_id: label}`` for a ``TaskSpec``; a malformed line, one that is
+    not UTF-8 or a class outside ``[0, task.n_classes)`` raises ``ValueError``
+    naming ``path:lineno``.  Given ``item_ids``, the labels of those items,
+    in that order; one without a label raises naming ``path``."""
+    classes = task.kind == "classification"
+    parse, kind_name = (int, "an integer") if classes else (float, "a number")
     labels = {}
     lines = fileio.text_lines(path)
     if next(lines, (1, ""))[1].strip() != "item_id,label":
@@ -307,6 +323,9 @@ def _load_labels_csv(path, kind, item_ids=None):
             labels[item_id] = parse(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: label {value!r} is not {kind_name}") from None
+        if classes and not 0 <= labels[item_id] < task.n_classes:
+            raise ValueError(f"{path}:{lineno}: label {value!r} is not a class in "
+                             f"[0, {task.n_classes}) (task.n_classes {task.n_classes})")
     if item_ids is None:
         return labels
     missing = [i for i in item_ids if i not in labels]
@@ -327,14 +346,14 @@ def _stage_world(settings, out_dir):
         write_world(world, out_dir / "world", audio=False)  # see _stage_features
         handover = {"logs": world.interactions, "audio": (world.item_ids, world.waveforms)}
     else:
-        paths, kind = settings["datasets"], settings["task"].kind
+        paths, task = settings["datasets"], settings["task"]
         for path in paths.values():
             if not Path(path).exists():
                 raise ValueError(f"dataset path does not exist: {path}")
         logs = parse_log_file(paths["logs"])
         item_ids, waveforms = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
-        labels = _load_labels_csv(paths["labels"], kind, item_ids)
-        _write_labels(out_dir / LABELS, item_ids, labels.values(), kind)
+        labels = _load_labels_csv(paths["labels"], task, item_ids)
+        _write_labels(out_dir / LABELS, item_ids, labels.values(), task.kind)
         handover = {"logs": logs, "audio": (item_ids, waveforms)}
     _, labels, n_est = _read_items(settings, out_dir)
     for seed in settings["seeds"]:
@@ -443,7 +462,7 @@ def _stage_features(settings, out_dir, item_ids, waveforms):
 def _read_items(settings, out_dir):
     """Item ids and labels in ``world/labels.csv`` order, and how many of them
     (the first) are estimator items."""
-    labels = _load_labels_csv(out_dir / LABELS, settings["task"].kind)
+    labels = _load_labels_csv(out_dir / LABELS, settings["task"])
     n_est = settings["split"]["n_estimator_items"]
     if not (0 < n_est < len(labels)):
         raise ValueError(f"n_estimator_items={n_est} must be in (0, {len(labels)})")

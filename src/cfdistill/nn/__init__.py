@@ -1,6 +1,6 @@
 """Minimal differentiable-network core: layers, losses, Adam, presets."""
 
-from .adam import AdamConfig, AdamState, adam_step
+from .adam import AdamState, adam_step
 from .layers import (
     BatchNorm,
     Conv2d,
@@ -32,7 +32,6 @@ from .network import (
 )
 
 __all__ = [
-    "AdamConfig",
     "AdamState",
     "adam_step",
     "BatchNorm",

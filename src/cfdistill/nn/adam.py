@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass
-class AdamConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class AdamState:
     """First/second moment tensors and a step counter, keyed like params."""
 
-    def __init__(self, params: dict, config: AdamConfig | None = None):
-        self.config = config or AdamConfig()
+    def __init__(self, params: dict, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.step_count = 0
@@ -27,11 +21,10 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """One in-place Adam update of ``params`` from ``grads``."""
-    cfg = state.config
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for key, g in grads.items():
         if key not in state.m:
             raise KeyError(f"gradient for unknown parameter {key!r}")
@@ -42,8 +35,8 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
             )
         m = state.m[key]
         v = state.v[key]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)

@@ -3,11 +3,9 @@
 Data layout is channels-last: feature maps are (N, H, W, C) and vector
 activations are (N, D).  Every layer returns (output, cache) from
 ``forward`` and (input gradient, parameter gradients) from ``backward``;
-the cache is whatever the backward pass needs and nothing more.  An
-eval-mode cache of ``BatchNorm``, ``ReLU`` and ``MaxPool`` holds only the
-input it was given: eval forwards mostly run without caches, so they
-build none, and a backward pass after one rebuilds what it needs from
-the input, with the same operations as the train-mode forward.
+the cache of a train-mode forward is whatever the backward pass needs and
+nothing more.  An eval-mode forward returns ``None`` as its cache: nothing
+back-propagates through one, so ``backward`` takes train caches only.
 
 Per-channel elementwise ops (batch norm's subtract, scale and shift, the
 SE gate, the conv bias) run on wide rows (``_wide``): a contiguous
@@ -174,7 +172,7 @@ class Conv2d(Layer):
             out = xp.T @ wk[:, 0, :]
         else:
             out = _tap_sum(xp, wk, offsets)
-        return _crop_add(out, self.params["b"], n, h, w), (x.shape, xp)
+        return _crop_add(out, self.params["b"], n, h, w), (x.shape, xp) if train else None
 
     def backward(self, dout, cache):
         (n, h, w, c), xp = cache
@@ -201,8 +199,7 @@ class BatchNorm(Layer):
     Train mode normalizes with batch statistics (biased variance) and
     updates the running buffers; eval mode normalizes with the running
     buffers.  Works on (N, H, W, C) and (N, C) inputs alike, as one
-    (rows, C) view.  A train cache holds the normalized input and 1/std;
-    an eval cache holds the (rows, C) input, 1/std and the mean.
+    (rows, C) view.  A train cache holds the normalized input and 1/std.
     """
 
     def __init__(self, channels, momentum=0.9, eps=1e-5, dtype=np.float64):
@@ -240,47 +237,34 @@ class BatchNorm(Layer):
         inv = 1.0 / np.sqrt(var + self.eps)
         _, iw, gw, bw = _wide(x2, inv, self.params["gamma"], self.params["beta"])
         xhat *= iw
-        # An eval cache keeps no x-hat, so eval scales it in place into the output.
+        # Eval caches nothing, so it scales x-hat in place into the output.
         out = xhat * gw if train else np.multiply(xhat, gw, out=xhat)
         out += bw
-        cache = (xhat.reshape(x2.shape), inv, None) if train else (x2, inv, mean)
-        return out.reshape(x.shape), cache
+        return out.reshape(x.shape), (xhat.reshape(x2.shape), inv) if train else None
 
     def backward(self, dout, cache):
-        xhat, inv, eval_mean = cache
-        was_train = eval_mean is None
-        if not was_train:  # an eval cache holds the input: rebuild x-hat
-            xw, mw, iw = _wide(xhat, eval_mean, inv)
-            rebuilt = xw - mw
-            rebuilt *= iw
-            xhat = rebuilt.reshape(xhat.shape)
+        xhat, inv = cache
         d2 = dout.reshape(xhat.shape)
         dgamma = np.einsum("ij,ij->j", d2, xhat)
         dbeta = _channel_sum(d2)
-        scale = self.params["gamma"] * inv
-        if was_train:
-            # dx = gamma * inv * (d - dbeta/m - xhat * dgamma/m)
-            m = len(d2)
-            xw, gw, bw, sw = _wide(xhat, -dgamma / m, dbeta / m, scale)
-            dx = xw * gw
-            dx += d2.reshape(dx.shape)
-            dx -= bw
-            dx *= sw
-        else:
-            d2w, sw = _wide(d2, scale)
-            dx = d2w * sw
+        # dx = gamma * inv * (d - dbeta/m - xhat * dgamma/m)
+        m = len(d2)
+        xw, gw, bw, sw = _wide(xhat, -dgamma / m, dbeta / m, self.params["gamma"] * inv)
+        dx = xw * gw
+        dx += d2.reshape(dx.shape)
+        dx -= bw
+        dx *= sw
         return dx.reshape(dout.shape), {"gamma": dgamma, "beta": dbeta}
 
 
 class ReLU(Layer):
-    """The cache is the mask ``x > 0`` in train mode and the input in eval."""
+    """The train cache is the mask ``x > 0``."""
 
     def forward(self, x, train=False):
-        return np.maximum(x, 0.0), x > 0 if train else x
+        return np.maximum(x, 0.0), x > 0 if train else None
 
     def backward(self, dout, cache):
-        mask = cache if cache.dtype == bool else cache > 0
-        return dout * mask, {}
+        return dout * cache, {}
 
 
 class MaxPool(Layer):
@@ -289,17 +273,15 @@ class MaxPool(Layer):
     The gradient routes to each window's maximum, first occurrence in
     row-major window order on ties.  The forward pass walks the window
     offsets as strided views of the (N, Ho, ph, Wo, pw, C) reshape of the
-    input.  The train cache holds that index, (N, Ho, Wo, C); the eval
-    cache is the input.
+    input.  The train cache holds the input shape and each maximum's
+    window index, (N, Ho, Wo, C).
     """
 
     def __init__(self, pool):
         super().__init__()
         self.ph, self.pw = pool
 
-    def _window_max(self, x, index):
-        """Window maxima, (N, Ho, Wo, C), and with ``index`` the row-major
-        window index of each one's first occurrence (else None)."""
+    def forward(self, x, train=False):
         n, h, w, c = x.shape
         if h % self.ph or w % self.pw:
             raise ValueError(
@@ -307,25 +289,20 @@ class MaxPool(Layer):
             )
         v = x.reshape(n, h // self.ph, self.ph, w // self.pw, self.pw, c)
         out = v[:, :, 0, :, 0, :].copy()
-        arg = np.zeros(out.shape, dtype=np.intp) if index else None
-        later = np.empty(out.shape, dtype=bool) if index else None
+        if train:  # the row-major window index of each maximum's first occurrence
+            arg = np.zeros(out.shape, dtype=np.intp)
+            later = np.empty(out.shape, dtype=bool)
         for k in range(1, self.ph * self.pw):
             view = v[:, :, k // self.pw, :, k % self.pw, :]
-            if index:
+            if train:
                 np.greater(view, out, out=later)
                 np.copyto(arg, k, where=later)
             # np.maximum returns its second operand on ties, so the earlier
             # value (and the sign of a zero) stays; NaN propagates.
             np.maximum(view, out, out=out)
-        return out, arg
-
-    def forward(self, x, train=False):
-        out, arg = self._window_max(x, index=train)
-        return out, (x.shape, arg) if train else x
+        return out, (x.shape, arg) if train else None
 
     def backward(self, dout, cache):
-        if isinstance(cache, np.ndarray):  # an eval cache holds the input
-            cache = (cache.shape, self._window_max(cache, index=True)[1])
         (n, h, w, c), arg = cache
         ho, wo = h // self.ph, w // self.pw
         dwin = np.zeros((n, ho, wo, self.ph * self.pw, c), dtype=dout.dtype)
@@ -367,7 +344,7 @@ class SEBlock(Layer):
         a1 = np.maximum(z1, 0.0)
         gate = sigmoid(a1 @ self.params["w2"] + self.params["b2"])
         out = np.multiply(*_wide(x, gate))
-        return out.reshape(x.shape), (x, s, z1, a1, gate)
+        return out.reshape(x.shape), (x, s, z1, a1, gate) if train else None
 
     def backward(self, dout, cache):
         x, s, z1, a1, gate = cache
@@ -388,7 +365,7 @@ class SEBlock(Layer):
 
 class GlobalAvgPool(Layer):
     def forward(self, x, train=False):
-        return x.mean(axis=(1, 2)), x.shape
+        return x.mean(axis=(1, 2)), x.shape if train else None
 
     def backward(self, dout, cache):
         n, h, w, c = cache
@@ -409,7 +386,7 @@ class FullyConnected(Layer):
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"fully_connected expects (N, {self.in_dim}), got {x.shape}")
-        return x @ self.params["w"] + self.params["b"], x
+        return x @ self.params["w"] + self.params["b"], x if train else None
 
     def backward(self, dout, cache):
         x = cache

@@ -152,21 +152,23 @@ class NetworkModel:
         self.dtype = np.dtype(dtype)
 
     def forward(self, x, train=False, keep_cache=True):
-        """Run the stack; returns (output, caches or None).
+        """Run the stack; returns (output, per-layer caches or None).
 
-        ``x`` is a batch: shape (N,) + input_shape.  An eval-mode forward
-        without caches runs the stack on ``EVAL_BLOCK`` samples at a time.
+        ``x`` is a batch: shape (N,) + input_shape.  A train-mode forward
+        returns its caches unless ``keep_cache`` is false.  An eval-mode
+        forward keeps none and runs the stack on ``EVAL_BLOCK`` samples at
+        a time.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match model {self.input_shape}"
             )
-        caches = [] if keep_cache else None
-        if train or keep_cache:
+        caches = [] if train and keep_cache else None
+        if train:
             for layer in self.layers:
-                x, cache = layer.forward(x, train=train)
-                if keep_cache:
+                x, cache = layer.forward(x, train=True)
+                if caches is not None:
                     caches.append(cache)
         else:
             blocks = batch_bounds(len(x), EVAL_BLOCK)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import pool
 from .evaluation import accuracy, r_squared
-from .nn.adam import AdamConfig, AdamState, adam_step
+from .nn.adam import AdamState, adam_step
 from .nn.layers import FullyConnected
 from .nn.losses import cosine_proximity_loss, mse_loss, softmax_cross_entropy
 from .nn.network import LayerSpec, NetworkModel, batch_bounds, build_network
@@ -46,38 +46,31 @@ class TrainConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        _check_training(self)
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2: train-mode batch norm needs two samples")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError("patience must be >= 1")
 
 
-def _check_training(config):
-    """The ranges every training config shares."""
-    if config.epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if config.batch_size < 2:
-        raise ValueError("batch_size must be >= 2: train-mode batch norm needs two samples")
-    if config.learning_rate <= 0:
-        raise ValueError("learning_rate must be > 0")
-    if config.patience is not None and config.patience < 1:
-        raise ValueError("patience must be >= 1")
+@dataclass(kw_only=True)
+class RegimeConfig(TrainConfig):
+    """Task training knobs: the regime, its distillation weight, and the
+    estimator's training knobs with a shorter default schedule."""
 
-
-@dataclass
-class RegimeConfig:
     regime: str
     kd_weight: float = 1.0
     epochs: int = 30
-    batch_size: int = 16
-    learning_rate: float = 0.001
-    seed: int = 0
-    patience: Optional[int] = None
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.kd_weight < 0:
             raise ValueError("kd_weight must be nonnegative")
-        _check_training(self)
+        super().__post_init__()
 
 
 @dataclass
@@ -163,7 +156,7 @@ def predict_network(model: NetworkModel, x, batch_size=64):
     bounds = batch_bounds(len(x), batch_size)
     if len(bounds) < 2 or pool.worker_count() < 2 or pool.in_worker():
         return np.concatenate([
-            model.forward(x[a:b], train=False, keep_cache=False)[0] for a, b in bounds
+            model.forward(x[a:b], train=False)[0] for a, b in bounds
         ])
     n = pool.worker_count()
     with pool.SharedArrays(np.empty((len(x), *model.output_shape), model.dtype)) as out:
@@ -182,7 +175,7 @@ def _predict_batch(model, batches, part, out, rows):
     """One batch of :func:`predict_network`, run in a pool worker: rows
     ``part`` of its round's block in, rows ``rows`` of the output table out."""
     (x,) = pool.load_shared(batches, part)
-    y, _ = model.forward(x, train=False, keep_cache=False)
+    y, _ = model.forward(x, train=False)
     pool.store_shared(out, rows, y)
 
 
@@ -193,34 +186,39 @@ def _epoch_batches(train_idx, batch_size, rng):
     return [order[a:b] for a, b in batch_bounds(order.size, batch_size)]
 
 
-def _fit(step, val_loss, get_state, set_state, epochs, patience, train_idx, batch_size, seed,
-         on_epoch=None):
-    """The epoch loop every trainer shares.
+def _fit(step, val_loss, model, params, config, train_idx, on_epoch=None):
+    """The epoch loop every trainer shares: Adam on ``params`` under the
+    epochs, patience, batch size, learning rate and seed of ``config``.
 
-    ``step(batch)`` takes one optimizer step and returns that batch's
-    named training losses.  Each curve row holds the epoch, the epoch mean
-    of each of those losses in order, then ``val_loss()``.  The state with the least validation loss
-    is restored at the end; ``patience`` epochs without improvement stop
-    training early.  Returns (curve, best epoch, epochs run).
+    ``step(batch)`` returns the batch's gradients, keyed like ``params``,
+    and its named training losses; each step's gradients make one Adam
+    step.  Each curve row holds the epoch, the epoch mean of each of those
+    losses in order, then ``val_loss()``.  The ``model`` state with the least
+    validation loss is restored at the end; ``config.patience`` epochs
+    without improvement stop training early.  Returns (curve, best epoch,
+    epochs run).
     """
-    rng = np.random.default_rng([seed, 1])
-    best_val, best_state, best_epoch = np.inf, get_state(), -1
+    optimizer = AdamState(params, config.learning_rate)
+    rng = np.random.default_rng([config.seed, 1])
+    best_val, best_state, best_epoch = np.inf, model.get_state(), -1
     curve = []
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         losses = {}
-        for batch in _epoch_batches(train_idx, batch_size, rng):
-            for name, value in step(batch).items():
+        for batch in _epoch_batches(train_idx, config.batch_size, rng):
+            grads, batch_losses = step(batch)
+            adam_step(optimizer, params, grads)
+            for name, value in batch_losses.items():
                 losses.setdefault(name, []).append(value)
         val = val_loss()
         row = {"epoch": epoch, **{k: float(np.mean(v)) for k, v in losses.items()}, "val_loss": val}
         curve.append(row)
         if val < best_val:
-            best_val, best_state, best_epoch = val, get_state(), epoch
+            best_val, best_state, best_epoch = val, model.get_state(), epoch
         if on_epoch is not None:
             on_epoch(epoch, row)
-        if patience is not None and epoch - best_epoch >= patience:
+        if config.patience is not None and epoch - best_epoch >= config.patience:
             break
-    set_state(best_state)
+    model.set_state(best_state)
     return curve, best_epoch, len(curve)
 
 
@@ -258,21 +256,17 @@ def train_cf_estimator(
     if train_idx.size < 2:
         raise ValueError("train split too small for train-mode batch norm")
 
-    optimizer = AdamState(model.named_params(), AdamConfig(learning_rate=config.learning_rate))
-
     def step(batch):
         out, caches = model.forward(features[batch], train=True)
         loss, grad = distillation_loss(out, targets[batch])
         _, grads = model.backward(caches, grad)
-        adam_step(optimizer, model.named_params(), model.named_grads(grads))
-        return {"train_loss": loss}
+        return model.named_grads(grads), {"train_loss": loss}
 
     def val_loss():
         return distillation_loss(predict_network(model, features[val_idx]), targets[val_idx])[0]
 
     curve, best_epoch, epochs_run = _fit(
-        step, val_loss, model.get_state, model.set_state,
-        config.epochs, config.patience, train_idx, config.batch_size, config.seed,
+        step, val_loss, model, model.named_params(), config, train_idx,
         on_epoch=None if on_epoch is None else lambda epoch, row: on_epoch(epoch, model, row),
     )
     return model, {"curve": curve, "best_epoch": best_epoch, "epochs_run": epochs_run}
@@ -336,14 +330,13 @@ def train_task(
     # fix keeps the estimator's backbone frozen: its penultimate features
     # are the teacher's outputs, and only the head is optimized.
     params = head.params if fix else network.named_params()
-    optimizer = AdamState(params, AdamConfig(learning_rate=regime.learning_rate))
 
     def step(batch):
         if fix:
             penult = teacher[batch]
         else:
             penult, caches = backbone.forward(features[batch], train=True)
-        out, head_cache = head.forward(penult)
+        out, head_cache = head.forward(penult, train=True)
         task_val, dout = _task_loss(task, out, data.targets[batch])
         dpenult, grads = head.backward(dout, head_cache)
         kd_val = 0.0
@@ -354,8 +347,7 @@ def train_task(
         if not fix:
             _, net_grads = backbone.backward(caches, dpenult)
             grads = network.named_grads([*net_grads, grads])
-        adam_step(optimizer, params, grads)
-        return {
+        return grads, {
             "train_total": task_val + regime.kd_weight * kd_val,
             "train_task": task_val,
             "train_kd": kd_val,
@@ -368,10 +360,7 @@ def train_task(
     def val_loss():
         return _task_loss(task, outputs(data.val_idx), data.targets[data.val_idx])[0]
 
-    curve, _, epochs_run = _fit(
-        step, val_loss, network.get_state, network.set_state,
-        regime.epochs, regime.patience, data.train_idx, regime.batch_size, regime.seed,
-    )
+    curve, _, epochs_run = _fit(step, val_loss, network, params, regime, data.train_idx)
     result = ExperimentResult(
         regime=regime.regime,
         n_channels=n_channels,

@@ -19,20 +19,20 @@ def numeric_grad(f, x, h=1e-5):
     return grad
 
 
-def check_layer_gradients(layer, x, rng, rtol=1e-4, atol=1e-8, train=True):
-    """Compare analytic layer gradients against finite differences.
+def check_layer_gradients(layer, x, rng, rtol=1e-4, atol=1e-8):
+    """Compare analytic train-mode layer gradients against finite differences.
 
     Uses a fixed random projection of the output as the scalar loss, so
     the upstream gradient is exactly that projection.
     """
-    y0, _ = layer.forward(x, train=train)
+    y0, _ = layer.forward(x, train=True)
     w = rng.normal(size=y0.shape)
 
     def loss():
-        y, _ = layer.forward(x, train=train)
+        y, _ = layer.forward(x, train=True)
         return float(np.sum(w * y))
 
-    out, cache = layer.forward(x, train=train)
+    out, cache = layer.forward(x, train=True)
     dx, grads = layer.backward(w, cache)
 
     np.testing.assert_allclose(dx, numeric_grad(loss, x), rtol=rtol, atol=atol)

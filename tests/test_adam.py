@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from cfdistill.nn.adam import AdamConfig, AdamState, adam_step
+from cfdistill.nn.adam import AdamState, adam_step
 
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
-        state = AdamState(params)
+        state = AdamState(params, 0.001)
         before = params["w"].copy()
         for _ in range(5):
             adam_step(state, params, {"w": np.zeros(3)})
@@ -19,21 +19,20 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         params = {"w": rng.normal(size=20)}
         before = params["w"].copy()
-        config = AdamConfig(learning_rate=0.01)
-        state = AdamState(params, config)
+        state = AdamState(params, 0.01)
         adam_step(state, params, {"w": rng.normal(size=20) * 100.0})
         delta = np.abs(params["w"] - before)
-        assert np.all(delta <= config.learning_rate * (1 + 1e-6))
+        assert np.all(delta <= 0.01 * (1 + 1e-6))
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}
-        state = AdamState(params)
+        state = AdamState(params, 0.001)
         with pytest.raises(ValueError, match="shape"):
             adam_step(state, params, {"w": np.zeros(4)})
 
     def test_unknown_key_rejected(self):
         params = {"w": np.zeros(3)}
-        state = AdamState(params)
+        state = AdamState(params, 0.001)
         with pytest.raises(KeyError):
             adam_step(state, params, {"v": np.zeros(3)})
 
@@ -42,7 +41,7 @@ class TestAdamStep:
         rng = np.random.default_rng(1)
         target = rng.normal(size=10)
         params = {"w": target + rng.uniform(-0.5, 0.5, size=10)}
-        state = AdamState(params, AdamConfig(learning_rate=0.02))
+        state = AdamState(params, 0.02)
         for _ in range(200):
             grad = 2.0 * (params["w"] - target)
             adam_step(state, params, {"w": grad})
@@ -52,7 +51,7 @@ class TestAdamStep:
         def run():
             rng = np.random.default_rng(2)
             params = {"w": rng.normal(size=6)}
-            state = AdamState(params)
+            state = AdamState(params, 0.001)
             for _ in range(50):
                 adam_step(state, params, {"w": np.sin(params["w"])})
             return params["w"]

@@ -34,7 +34,7 @@ from cfdistill.als import parse_log_file
 from cfdistill.experiment import (_load_labels_csv, _write_labels, read_results_csv,
                                   write_results_csv)
 from cfdistill.nn.network import LayerSpec, build_network, load_checkpoint, save_checkpoint
-from cfdistill.transfer import ExperimentResult
+from cfdistill.transfer import ExperimentResult, TaskSpec
 
 SEED = 15
 RATE = 16000
@@ -75,7 +75,7 @@ def _checkpoint(path):
 
 def _labels(path):
     _write_labels(path, ITEMS, [0, 1, 2], "classification")
-    return path, lambda p: _load_labels_csv(p, "classification", ITEMS)
+    return path, lambda p: _load_labels_csv(p, TaskSpec("classification", n_classes=3), ITEMS)
 
 
 def _logs(path):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,13 +101,14 @@ class TestRunExperiment:
         run_experiment(tiny_manifest, out_b, deterministic=True)
         assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
-    def test_stage_failure_names_stage_and_keeps_artifacts(self, tmp_path):
-        # 1.25 s audio gives 54-frame grids, which the desk architecture rejects
-        manifest = make_tiny_manifest()
-        manifest["world"] = dict(manifest["world"], duration=1.25)
+    def test_stage_failure_names_stage_and_keeps_artifacts(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("estimator diverged")
+
+        monkeypatch.setattr(experiment, "train_cf_estimator", fail)
         out = tmp_path / "out"
-        with pytest.raises(StageError, match="stage=estimator"):
-            run_experiment(manifest, out, deterministic=True)
+        with pytest.raises(StageError, match="stage=estimator: estimator diverged"):
+            run_experiment(make_tiny_manifest(), out, deterministic=True)
         assert (out / "world" / "logs.tsv").exists()
         assert (out / "embeddings" / "item_embeddings.ftab").exists()
         assert (out / "features" / "item_00000.ftab").exists()
@@ -130,6 +132,21 @@ class TestRunExperiment:
         manifest = make_tiny_manifest()
         manifest["world"] = dict(manifest["world"], task_kind="regression")
         with pytest.raises(ValueError, match="world.task_kind 'regression' != task.kind"):
+            run_experiment(manifest, tmp_path / "out", deterministic=True)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("world", "n_classes", 3, r"world.n_classes 3 != task.n_classes 4"),
+        ("features", "sample_rate", 17000, r"world.sample_rate 16000 != features.sample_rate 17000"),
+        ("als", "n_factors", 32, r"als.n_factors 32 != the architecture.preset output width 40"),
+        ("world", "duration", 1.0, r"mel grids \(features.n_mels, frames of world.duration\) "
+                                   r"\(96, 43\) != the architecture.preset input \(96, 80\)"),
+    ], ids=["world.n_classes", "features.sample_rate", "als.n_factors", "world.duration"])
+    def test_cross_section_mismatch_fails_before_any_stage(self, tmp_path, section, key, value,
+                                                           message):
+        manifest = make_tiny_manifest()
+        manifest[section] = dict(manifest[section], **{key: value})
+        with pytest.raises(ValueError, match=f"^manifest {message}$"):
             run_experiment(manifest, tmp_path / "out", deterministic=True)
         assert not (tmp_path / "out").exists()
 
@@ -303,7 +320,7 @@ class TestTrainTaskManifest:
 
     @pytest.mark.parametrize("section, key, value", [
         ("dtype", None, "float64"),
-        ("features", "n_mels", 64),
+        ("features", "fmin", 20.0),
         ("world", "seed", 10),
         ("estimator", "patience", 3),  # a key the run's manifest does not set
     ])
@@ -404,6 +421,20 @@ class TestDatasetMode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"cfdistill: error: stage=world: {path}:{lineno}: not UTF-8 text")
+
+    def test_class_label_out_of_range_fails_in_world_stage(self, tmp_path):
+        datasets = self._write_dataset(tmp_path / "data")
+        path = Path(datasets["labels"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[4] = "song03,7"  # line 5 of the file, after the header
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = make_tiny_manifest(datasets=datasets)
+        del manifest["world"]
+        out = tmp_path / "out"
+        with pytest.raises(StageError, match=f"^stage=world: {re.escape(str(path))}:5: label '7' "
+                                             r"is not a class in \[0, 4\) \(task.n_classes 4\)$"):
+            run_experiment(manifest, out, deterministic=True)
+        assert not (out / "embeddings").exists()
 
     def test_missing_dataset_path_fails_in_world_stage(self, tmp_path):
         manifest = make_tiny_manifest(

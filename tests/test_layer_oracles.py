@@ -55,7 +55,8 @@ def _assert_scaled(got, want, tol, scale, what):
 
 
 def _compare_step(fast, slow, x, dout, train, tol):
-    """Forward and backward of two layers with equal parameters must agree.
+    """Forward and, in train mode, backward of two layers with equal
+    parameters must agree; an eval forward of ``fast`` keeps no cache.
 
     Outputs are compared against the largest reference output; ``dx`` and
     every parameter gradient against the largest reference gradient of
@@ -65,6 +66,9 @@ def _compare_step(fast, slow, x, dout, train, tol):
     y_slow, cache_slow = slow.forward(x, train=train)
     assert y_fast.shape == y_slow.shape and y_fast.dtype == y_slow.dtype
     _assert_scaled(y_fast, y_slow, tol, np.max(np.abs(y_slow)), "output")
+    if not train:
+        assert cache_fast is None
+        return
     dx_fast, g_fast = fast.backward(dout, cache_fast)
     dx_slow, g_slow = slow.backward(dout, cache_slow)
     assert dx_fast.shape == x.shape and dx_fast.dtype == dx_slow.dtype
@@ -87,7 +91,7 @@ def _conv_cases():
 @pytest.mark.parametrize("shape,dtype", _conv_cases())
 def test_conv2d_matches_im2col_reference(shape, dtype):
     """Within a tolerance of the im2col conv, and the same bits as the flat
-    tap-sum conv, in train and eval mode."""
+    tap-sum conv, in train and (forward only) eval mode."""
     n, h, w, c, o = shape
     rng = np.random.default_rng(sum(shape))
     fast = Conv2d(c, o, np.random.default_rng(1), dtype=dtype)
@@ -179,11 +183,15 @@ def _strided(a):
 
 
 def _same_step(fast, slow, x, dout, train):
-    """Forward and backward of two layers give the same bits, backward from
-    ``dout`` and from a non-contiguous copy of it."""
+    """Forward and, in train mode, backward of two layers give the same
+    bits, backward from ``dout`` and from a non-contiguous copy of it; an
+    eval forward of ``fast`` keeps no cache."""
     y_fast, cache_fast = fast.forward(x, train=train)
     y_slow, cache_slow = slow.forward(x, train=train)
     _assert_same_bits(y_fast, y_slow, "output")
+    if not train:
+        assert cache_fast is None
+        return
     for upstream in (dout, _strided(dout)):
         dx_fast, g_fast = fast.backward(upstream, cache_fast)
         dx_slow, g_slow = slow.backward(upstream, cache_slow)
@@ -285,7 +293,8 @@ LAYER_CASES = _layer_cases()
     ids=[f"{k}-{'x'.join(map(str, s))}-{'train' if t else 'eval'}" for k, _, s, t in LAYER_CASES],
 )
 def test_float32_agrees_with_float64(kind, make, shape, train):
-    """The float32 layer tracks the float64 one on float32-exact inputs.
+    """The float32 layer tracks the float64 one on float32-exact inputs, in
+    the forward and, in train mode, the backward pass.
 
     Inputs, upstream gradients and parameters are float32 values in both
     runs, so only the arithmetic precision differs; inputs are distinct,
@@ -307,16 +316,19 @@ def test_float32_agrees_with_float64(kind, make, shape, train):
     y64, c64 = high.forward(x32.astype(np.float64), train=train)
     y32, c32 = low.forward(x32, train=train)
     d_out = rng.normal(size=y64.shape).astype(np.float32)
-    dx64, g64 = high.backward(d_out.astype(np.float64), c64)
-    dx32, g32 = low.backward(d_out, c32)
     if kind == "se_block":
         for layer, x, d in ((low, x32, d_out), (high, x32.astype(np.float64), d_out.astype(np.float64))):
             twin = ref.SEBlock(8, 8, np.random.default_rng(0), dtype=x.dtype)
             twin.params = {k: v.copy() for k, v in layer.params.items()}
             _same_step(layer, twin, x, d, train)
-    assert y32.dtype == np.float32 and dx32.dtype == np.float32
-    assert all(g.dtype == np.float32 for g in g32.values())
+    assert y32.dtype == np.float32
     _assert_scaled(y32, y64, F32_TOL, np.max(np.abs(y64)), f"{kind} output")
+    if not train:  # an eval forward keeps no cache to back-propagate through
+        return
+    dx64, g64 = high.backward(d_out.astype(np.float64), c64)
+    dx32, g32 = low.backward(d_out, c32)
+    assert dx32.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in g32.values())
     scale = max(np.max(np.abs(g)) for g in [dx64, *g64.values()])
     _assert_scaled(dx32, dx64, F32_TOL, scale, f"{kind} dx")
     for name in g64:

@@ -125,22 +125,14 @@ class TestBatchNorm:
         layer.params["gamma"][...] = rng.uniform(0.5, 1.5, size=3)
         layer.params["beta"][...] = rng.normal(size=3)
         x = rng.normal(size=(4, 3, 2, 3))
-        check_layer_gradients(layer, x, rng, train=True)
-
-    def test_gradients_eval_mode(self):
-        rng = np.random.default_rng(11)
-        layer = BatchNorm(3)
-        layer.running_mean = rng.normal(size=3)
-        layer.running_var = rng.uniform(0.5, 2.0, size=3)
-        x = rng.normal(size=(4, 3))
-        check_layer_gradients(layer, x, rng, train=False)
+        check_layer_gradients(layer, x, rng)
 
 
 class TestReLU:
     def test_forward_and_mask(self):
         x = np.array([[-1.0, 0.0, 2.0]])
         layer = ReLU()
-        y, cache = layer.forward(x)
+        y, cache = layer.forward(x, train=True)
         np.testing.assert_array_equal(y, [[0.0, 0.0, 2.0]])
         dx, _ = layer.backward(np.ones_like(x), cache)
         np.testing.assert_array_equal(dx, [[0.0, 0.0, 1.0]])
@@ -171,7 +163,7 @@ class TestMaxPool:
     def test_tie_routes_to_first_in_row_major_order(self):
         layer = MaxPool((2, 2))
         x = np.zeros((1, 2, 2, 1))  # all tied
-        _, cache = layer.forward(x)
+        _, cache = layer.forward(x, train=True)
         dx, _ = layer.backward(np.ones((1, 1, 1, 1)), cache)
         np.testing.assert_array_equal(dx[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -185,7 +177,7 @@ class TestMaxPool:
         rng = np.random.default_rng(6)
         layer = MaxPool((2, 2))
         x = rng.permutation(np.arange(16, dtype=float)).reshape(1, 4, 4, 1)
-        y, cache = layer.forward(x)
+        y, cache = layer.forward(x, train=True)
         dx, _ = layer.backward(np.ones_like(y), cache)
         assert np.count_nonzero(dx) == 4  # one winner per window
 
@@ -253,7 +245,7 @@ class TestFullyConnected:
         layer = FullyConnected(5, 3, rng)
         layer.params["w"][...] = 0.0
         x = rng.normal(size=(4, 5))
-        y, cache = layer.forward(x)
+        y, cache = layer.forward(x, train=True)
         np.testing.assert_array_equal(y, np.broadcast_to(layer.params["b"], y.shape))
         dx, _ = layer.backward(np.ones_like(y), cache)
         np.testing.assert_array_equal(dx, 0.0)
@@ -271,10 +263,34 @@ class TestBackwardLinearity:
         rng = np.random.default_rng(13)
         layer = Conv2d(2, 2, rng)
         x = rng.normal(size=(1, 4, 4, 2))
-        _, cache = layer.forward(x)
+        _, cache = layer.forward(x, train=True)
         g = rng.normal(size=(1, 4, 4, 2))
         dx1, grads1 = layer.backward(g, cache)
         dx2, grads2 = layer.backward(2.0 * g, cache)
         np.testing.assert_allclose(dx2, 2.0 * dx1, rtol=1e-12)
         for name in grads1:
             np.testing.assert_allclose(grads2[name], 2.0 * grads1[name], rtol=1e-12)
+
+
+EVAL_LAYERS = {
+    "conv2d": (lambda rng: Conv2d(2, 3, rng), (2, 4, 4, 2)),
+    "batch_norm": (lambda rng: BatchNorm(2), (2, 4, 4, 2)),
+    "relu": (lambda rng: ReLU(), (2, 4, 4, 2)),
+    "max_pool": (lambda rng: MaxPool((2, 2)), (2, 4, 4, 2)),
+    "se_block": (lambda rng: SEBlock(4, 2, rng), (2, 4, 4, 4)),
+    "global_avg_pool": (lambda rng: GlobalAvgPool(), (2, 4, 4, 2)),
+    "fully_connected": (lambda rng: FullyConnected(5, 3, rng), (2, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVAL_LAYERS))
+def test_eval_forward_keeps_no_cache(kind):
+    """An eval forward returns None as its cache and the train forward's output."""
+    make, shape = EVAL_LAYERS[kind]
+    rng = np.random.default_rng(16)
+    layer = make(rng)
+    x = rng.normal(size=shape)
+    y, cache = layer.forward(x)
+    assert cache is None
+    if kind != "batch_norm":  # batch norm's train forward uses batch statistics
+        np.testing.assert_array_equal(y, layer.forward(x, train=True)[0])

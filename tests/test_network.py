@@ -218,10 +218,10 @@ class TestForwardBackward:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_blocked_eval_forward_matches_one_pass(self, dtype):
-        """Eval mode without caches runs the stack EVAL_BLOCK samples at a
-        time, and predict_network in batches of its own; their rows must
-        equal one pass over the batch bit for bit, also when the last block
-        or batch is short or holds a single sample."""
+        """Eval mode runs the stack EVAL_BLOCK samples at a time, keeping
+        no caches, and predict_network in batches of its own; their rows
+        must equal one pass of the layers over the batch bit for bit, also
+        when the last block or batch is short or holds a single sample."""
         model, _, _ = build_preset("cf_estimator_desk", 8, seed=3, dtype=dtype)
         rng = np.random.default_rng(4)
         for layer in model.layers:
@@ -231,8 +231,9 @@ class TestForwardBackward:
         x = rng.normal(size=(3 * EVAL_BLOCK + 1, 96, 80, 1))
         for n in range(1, len(x) + 1):
             blocked, caches = model.forward(x[:n], train=False, keep_cache=False)
-            whole, _ = model.forward(x[:n], train=False, keep_cache=True)
             assert caches is None
+            assert model.forward(x[:n], train=False, keep_cache=True)[1] is None
+            whole = model._eval_block(x[:n].astype(dtype))
             np.testing.assert_array_equal(blocked, whole, err_msg=f"batch of {n}")
             for batch_size in (4, 8):
                 np.testing.assert_array_equal(

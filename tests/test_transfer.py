@@ -298,8 +298,8 @@ class TestEarlyStopping:
 
         def recording_fit(*args, **kwargs):
             bound = inspect.signature(real_fit).bind(*args, **kwargs)
-            get_state = bound.arguments["get_state"]
-            bound.arguments["on_epoch"] = lambda epoch, row: snapshots.update({epoch: get_state()})
+            model = bound.arguments["model"]
+            bound.arguments["on_epoch"] = lambda epoch, row: snapshots.update({epoch: model.get_state()})
             return real_fit(*bound.args, **bound.kwargs)
 
         monkeypatch.setattr(transfer, "_fit", recording_fit)

@@ -12,6 +12,7 @@ import pytest
 
 import reference_world as ref
 from cfdistill.experiment import _load_labels_csv, write_world
+from cfdistill.transfer import TaskSpec
 from cfdistill.world import WorldConfig, _synthesis_plan, generate_world, item_waveform
 
 CONFIGS = {
@@ -65,6 +66,6 @@ def test_synthesis_plan_is_shared_and_read_only():
 def test_regression_labels_round_trip_exactly(tmp_path):
     world = generate_world(CONFIGS["dim6_regression"])
     write_world(world, tmp_path)
-    labels = _load_labels_csv(tmp_path / "labels.csv", "regression")
+    labels = _load_labels_csv(tmp_path / "labels.csv", TaskSpec("regression"))
     assert list(labels) == world.item_ids
     assert np.array_equal(np.array(list(labels.values())), world.labels)
