@@ -26,7 +26,7 @@ from .experiment import (
     StageError,
     fit_embedding,
     load_manifest,
-    make_config,
+    parse_section,
     read_audio_dir,
     read_results_csv,
     run_experiment,
@@ -45,14 +45,19 @@ def _read_config(path, section):
     config = fileio.read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object, got {type(config).__name__}")
-    return config.get(section, config)
+    values = config.get(section, config)
+    if not isinstance(values, dict):
+        raise ValueError(
+            f"{path}: config section '{section}' must be a JSON object, got {type(values).__name__}"
+        )
+    return values
 
 
 def _cmd_generate_world(args):
     config_dict = _read_config(args.config, "world")
     if args.seed is not None:
         config_dict["seed"] = args.seed
-    world = generate_world(make_config(WorldConfig, config_dict, "world"))
+    world = generate_world(parse_section(config_dict, "world", WorldConfig))
     write_world(world, args.out)
     print(
         f"wrote world: {world.config.n_users} users, {world.config.n_items} items, "
@@ -65,7 +70,7 @@ def _cmd_als_fit(args):
     overrides = _read_config(args.config, "als")
     if args.seed is not None:
         overrides["seed"] = args.seed
-    config = make_config(AlsConfig, overrides, "als")
+    config = parse_section(overrides, "als", AlsConfig)
     matrix, _ = fit_embedding(parse_log_file(args.logs), config, args.out)
     print(
         f"factorized {matrix.n_users}x{matrix.n_items} matrix "
@@ -75,7 +80,7 @@ def _cmd_als_fit(args):
 
 
 def _cmd_features(args):
-    config = make_config(FeatureConfig, _read_config(args.config, "features"), "features")
+    config = parse_section(_read_config(args.config, "features"), "features", FeatureConfig)
     item_ids, audio = read_audio_dir(args.audio_dir, config.sample_rate)
     shapes = write_items(item_ids, audio, config=config, features_dir=args.out)
     print(f"extracted {len(shapes)} mel grids -> {args.out}")

@@ -22,7 +22,6 @@ import dataclasses
 import json
 import time
 import typing
-from collections.abc import Sequence
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +38,7 @@ from .als import (
     save_embedding,
 )
 from .evaluation import paired_improvement_test, stratified_kfold, stratified_split
-from .features import FeatureConfig, Waveform, melspectrogram
+from .features import FeatureConfig, Waveform, Waveforms, melspectrogram
 from .nn.network import PRESETS, build_network, load_checkpoint, save_checkpoint
 from .transfer import (
     RegimeConfig,
@@ -124,19 +123,11 @@ def _check_type(label, value, kind):
         )
 
 
-def _check_types(values, kinds, label):
-    """``_check_type`` on every value whose key ``kinds`` types; ``label``
-    formats a key into the name errors give it."""
-    for key, value in values.items():
-        if key in kinds:
-            _check_type(label.format(key), value, kinds[key])
-
-
 def _defaults(path):
     return {key: default for key, (_, default) in SETTINGS.get(path, {}).items()}
 
 
-def _section(values, path, cls=None, required=(), **fixed):
+def parse_section(values, path, cls=None, required=(), **fixed):
     """The manifest section at ``path`` over its ``SETTINGS`` defaults or, given
     ``cls``, as ``cls(**values, **fixed)`` less those keys; it may set no ``fixed``
     field, and must set every other field of ``cls`` that has no default, and
@@ -160,7 +151,9 @@ def _section(values, path, cls=None, required=(), **fixed):
     if missing:
         raise ValueError(f"manifest is missing '{prefix}{missing[0]}'")
     kinds = {**(typing.get_type_hints(cls) if cls else {}), **{k: t for k, (t, _) in own.items()}}
-    _check_types(values, kinds, f"manifest key '{prefix}{{}}'")
+    for key, value in values.items():
+        if key in kinds:
+            _check_type(f"manifest key '{prefix}{key}'", value, kinds[key])
     if cls is None:
         return {**_defaults(path), **values}
     try:
@@ -176,7 +169,7 @@ def validate_manifest(manifest):
     must agree with one in another section is checked here before any stage
     runs.  Each regime's seed is set per cell from ``seeds``.
     """
-    top = _section(manifest, "")
+    top = parse_section(manifest, "")
     if top["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
             f"manifest schema_version must be {SCHEMA_VERSION}, got {top['schema_version']!r}"
@@ -193,11 +186,11 @@ def validate_manifest(manifest):
     if top["folds"] < 1:
         raise ValueError(f"manifest folds must be a positive int, got {top['folds']!r}")
     classes = isinstance(top["task"], dict) and top["task"].get("kind") == "classification"
-    task = _section(top["task"], "task", TaskSpec, required=("n_classes",) if classes else ())
-    world = None if top["world"] is None else _section(top["world"], "world", WorldConfig)
-    als = _section(top["als"], "als", AlsConfig)
-    features = _section(top["features"], "features", FeatureConfig)
-    arch = _section(top["architecture"], "architecture")
+    task = parse_section(top["task"], "task", TaskSpec, required=("n_classes",) if classes else ())
+    world = None if top["world"] is None else parse_section(top["world"], "world", WorldConfig)
+    als = parse_section(top["als"], "als", AlsConfig)
+    features = parse_section(top["features"], "features", FeatureConfig)
+    arch = parse_section(top["architecture"], "architecture")
     if arch["preset"] not in PRESETS:
         raise ValueError(f"unknown architecture preset {arch['preset']!r}")
     fifth = arch["include_fifth_block"]
@@ -227,33 +220,23 @@ def validate_manifest(manifest):
     dtype = top["dtype"]
     if dtype not in ("float32", "float64"):
         raise ValueError(f"manifest key 'dtype' must be 'float32' or 'float64', got {dtype!r}")
-    train = _section(top["estimator"], "estimator", TrainConfig, dtype=dtype)
+    train = parse_section(top["estimator"], "estimator", TrainConfig, dtype=dtype)
     estimator = {**_defaults("estimator"), **top["estimator"]}
     return {
         "task": task, "task_name": top["task"].get("name") or task.kind,
-        "world": world, "datasets": None if world else _section(top["datasets"], "datasets"),
+        "world": world, "datasets": None if world else parse_section(top["datasets"], "datasets"),
         "als": als, "features": features,
         "preset": arch["preset"], "n_channels": arch["n_channels"],
         "specs": specs, "input_shape": input_shape,
         "train": train, "estimator_val_fraction": estimator["val_fraction"],
         "normalize_targets": estimator["normalize_targets"],
-        "split": _section(top["split"], "split"),
+        "split": parse_section(top["split"], "split"),
         "regimes": [
-            _section(r, f"regimes[{i}]", RegimeConfig, seed=0, dtype=dtype)
+            parse_section(r, f"regimes[{i}]", RegimeConfig, seed=0, dtype=dtype)
             for i, r in enumerate(top["regimes"])
         ],
         "seeds": top["seeds"], "folds": top["folds"],
     }
-
-
-def make_config(cls, values, section):
-    """``cls(**values)``, rejecting keys that are not fields of ``cls`` and
-    values that do not match the field's annotation."""
-    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {section} key {unknown[0]!r}")
-    _check_types(values, typing.get_type_hints(cls), f"{section} key '{{}}'")
-    return cls(**values)
 
 
 # Rows of logs.tsv formatted per write; bounds the Python objects alive at once.
@@ -289,13 +272,8 @@ def write_world(world: World, out_dir, audio=True):
 
 def _write_labels(path, item_ids, labels, kind):
     """``labels.csv``: a header, then ``item_id,label`` per item, in order."""
-    with fileio.atomic_write(path, "w") as fh:
-        fh.write("item_id,label\n")
-        for item_id, label in zip(item_ids, labels):
-            if kind == "classification":
-                fh.write(f"{item_id},{int(label)}\n")
-            else:
-                fh.write(f"{item_id},{float(label)!r}\n")
+    text = (lambda v: str(int(v))) if kind == "classification" else (lambda v: repr(float(v)))
+    _write_csv(path, "item_id,label", ((i, text(v)) for i, v in zip(item_ids, labels)))
 
 
 def _load_labels_csv(path, task, item_ids=None):
@@ -362,35 +340,17 @@ def _stage_world(settings, out_dir):
     return handover
 
 
-class AudioFiles(Sequence):
-    """Waveforms of audio files, in the given order, read when indexed.
-
-    An int index reads that file (``fileio.read_audio`` at
-    ``sample_rate``); a slice is an ``AudioFiles`` over those files.  It
-    holds only absolute paths and the rate, so a block of it pickles
-    small, and a pool worker, whose working directory was fixed when it
-    was spawned, finds the files.
-    """
-
-    def __init__(self, paths, sample_rate):
-        self.paths = [Path(p).absolute() for p in paths]
-        self.sample_rate = sample_rate
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return AudioFiles(self.paths[index], self.sample_rate)
-        return Waveform(*fileio.read_audio(self.paths[index], expect_rate=self.sample_rate))
+def _read_waveform(path, sample_rate):
+    return Waveform(*fileio.read_audio(path, expect_rate=sample_rate))
 
 
 def read_audio_dir(audio_dir, sample_rate):
-    """Item ids (file stems) and waveforms (``AudioFiles``) of the audio
-    files in a directory.  Every file is read and checked here, one at a
-    time, so a bad file fails now; none is kept."""
+    """Item ids (file stems) and waveforms of the audio files in a directory.
+    Every file is read and checked here, one at a time, so a bad file fails
+    now; none is kept.  The waveforms hold absolute paths, so a pool worker,
+    whose working directory was fixed when it was spawned, finds the files."""
     files = fileio.list_audio_files(audio_dir)
-    audio = AudioFiles(files, sample_rate)
+    audio = Waveforms(_read_waveform, [(f.absolute(), sample_rate) for f in files])
     for i in range(len(audio)):
         audio[i]  # read, checked and dropped
     return [f.stem for f in files], audio
@@ -412,9 +372,9 @@ def write_items(item_ids, waveforms, audio_dir=None, config=None, features_dir=N
     grid shapes, in item order.
 
     ``waveforms`` is a picklable sequence whose slices are cheap (a
-    ``WorldAudio`` or ``AudioFiles``): contiguous blocks of ``ITEM_BLOCK``
-    items go to the workers (``pool.starmap``), and the calling process
-    synthesizes, reads and computes nothing.
+    ``features.Waveforms``): contiguous blocks of ``ITEM_BLOCK`` items go to
+    the workers (``pool.starmap``), and the calling process synthesizes,
+    reads and computes nothing.
     """
     if len(waveforms) != len(item_ids):
         raise ValueError(f"{len(item_ids)} item ids for {len(waveforms)} waveforms")
@@ -692,9 +652,10 @@ def check_stages(stages):
 
 
 def read_results_csv(path):
-    """Parse a results.csv into a list of row dicts; a malformed line, or one
-    that is not UTF-8, raises ``ValueError`` naming ``path:lineno``."""
-    rows = []
+    """Parse a results.csv into a list of row dicts; a malformed line, one
+    that is not UTF-8 or one that repeats a (task, regime, channels, seed,
+    fold) cell raises ``ValueError`` naming ``path:lineno``."""
+    rows, cells = [], set()
     lines = fileio.text_lines(path)
     header = next(lines, (1, ""))[1].strip().split(",")
     if header != list(RESULT_COLUMNS):
@@ -714,6 +675,11 @@ def read_results_csv(path):
         for name in ("metric", "seconds"):
             if not np.isfinite(row[name]):
                 raise ValueError(f"{path}:{lineno}: {name} {raw[name]!r} is not finite")
+        cell = tuple(row[name] for name in ("task", "regime", "channels", "seed", "fold"))
+        if cell in cells:
+            raise ValueError(f"{path}:{lineno}: duplicate (task, regime, channels, seed, "
+                             f"fold) cell {cell}")
+        cells.add(cell)
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no result rows")

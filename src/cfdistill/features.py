@@ -8,6 +8,7 @@ a triangular mel filterbank and optional log compression.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,28 @@ class Waveform:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
+
+
+class Waveforms(Sequence):
+    """Waveforms made when read: item ``i`` is ``make(*args[i])``.
+
+    A slice is a ``Waveforms`` over those ``args``.  ``make`` is a module
+    function (or a ``functools.partial`` of one), so a block of items
+    pickles as its arguments and a pool worker makes them (see
+    ``experiment.write_items``).
+    """
+
+    def __init__(self, make, args):
+        self.make = make
+        self.args = list(args)
+
+    def __len__(self):
+        return len(self.args)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Waveforms(self.make, self.args[index])
+        return self.make(*self.args[index])
 
 
 @dataclass(frozen=True)

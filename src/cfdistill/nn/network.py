@@ -344,7 +344,9 @@ def load_checkpoint(path, expect_specs=None, expect_input_shape=None):
     """Rebuild a model from a checkpoint.
 
     If the expected schedule or input shape is given and the file holds a
-    different architecture, loading fails with a descriptive error.
+    different architecture, loading fails with a descriptive error.  A
+    file that cannot be read as a checkpoint, or whose architecture record
+    or state is malformed, raises a ValueError naming ``path``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -363,17 +365,24 @@ def load_checkpoint(path, expect_specs=None, expect_input_shape=None):
         raise ValueError(f"{path}: not a readable checkpoint: {exc}") from None
     if not isinstance(arch, dict) or arch.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version")
-    specs = [LayerSpec.from_dict(d) for d in arch["layers"]]
-    input_shape = tuple(arch["input_shape"])
-    if expect_specs is not None and list(expect_specs) != specs:
-        raise ValueError(
-            f"{path}: checkpoint architecture does not match the expected schedule"
-        )
-    if expect_input_shape is not None and tuple(expect_input_shape) != input_shape:
-        raise ValueError(
-            f"{path}: checkpoint input shape {input_shape} != expected "
-            f"{tuple(expect_input_shape)}"
-        )
-    model = build_network(specs, input_shape, seed=0, dtype=arch.get("dtype", "float64"))
-    model.set_state(state)
+    try:
+        specs = [LayerSpec.from_dict(d) for d in arch["layers"]]
+        input_shape = tuple(arch["input_shape"])
+        if expect_specs is not None and list(expect_specs) != specs:
+            raise ValueError("checkpoint architecture does not match the expected schedule")
+        if expect_input_shape is not None and tuple(expect_input_shape) != input_shape:
+            raise ValueError(
+                f"checkpoint input shape {input_shape} != expected {tuple(expect_input_shape)}"
+            )
+        dtype = arch.get("dtype", "float64")
+        if dtype not in ("float32", "float64"):
+            raise ValueError(f"checkpoint dtype must be 'float32' or 'float64', got {dtype!r}")
+        model = build_network(specs, input_shape, seed=0, dtype=dtype)
+        model.set_state(state)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint 'arch' record has no {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed checkpoint 'arch' record: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model

@@ -12,14 +12,13 @@ compete over.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
 
 from .als import Interactions
-from .features import Waveform
+from .features import Waveform, Waveforms
 
 AMPLITUDE = 0.1  # overall output scale, keeps PCM headroom
 
@@ -67,7 +66,7 @@ class WorldConfig:
 class World:
     config: WorldConfig
     interactions: Interactions
-    waveforms: Sequence  # a WorldAudio, or any picklable sequence of Waveforms
+    waveforms: Waveforms  # or any picklable sequence of Waveforms
     labels: np.ndarray
     item_ids: list
     user_ids: list
@@ -136,33 +135,6 @@ def item_waveform(config: WorldConfig, latent, item_index):
     return Waveform(wave, config.sample_rate)
 
 
-class WorldAudio(Sequence):
-    """Items' waveforms, in item order, synthesized when read.
-
-    An int index synthesizes that item on the calling thread.  A slice is
-    a ``WorldAudio`` over those items: it holds the config, their latents
-    and their indices in the world, so a block of items pickles in a few
-    hundred bytes and a pool worker synthesizes it (see
-    ``experiment.write_items``).  Each item draws from its own generator,
-    seeded by its index in the world, so its bytes do not depend on which
-    slice or process synthesizes it.
-    """
-
-    def __init__(self, config: WorldConfig, item_latents, indices=None):
-        self.config = config
-        self.item_latents = item_latents
-        self.indices = range(len(item_latents)) if indices is None else indices
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return WorldAudio(self.config, self.item_latents[index], self.indices[index])
-        i = self.indices[index]  # negative indices, IndexError past the end
-        return item_waveform(self.config, self.item_latents[index], i)
-
-
 def _make_labels(config: WorldConfig, item_latents, rng):
     """Labels and (for the latent rule) latents adjusted so the argmax of
     the first n_classes coordinates equals the class, giving exact balance."""
@@ -186,8 +158,10 @@ def _make_labels(config: WorldConfig, item_latents, rng):
 def generate_world(config: WorldConfig) -> World:
     """Sample a complete world; deterministic for a given config.
 
-    The audio is not synthesized here: ``waveforms`` is a ``WorldAudio``
-    that synthesizes each item when it is read.
+    The audio is not synthesized here: ``waveforms`` synthesizes each item
+    when it is read.  Each item draws from its own generator, seeded by its
+    index in the world, so its bytes do not depend on which slice or
+    process synthesizes it.
     """
     rng_lat = np.random.default_rng([config.seed, 0])
     item_latents = rng_lat.uniform(-1.0, 1.0, size=(config.n_items, config.latent_dim))
@@ -223,7 +197,8 @@ def generate_world(config: WorldConfig) -> World:
     return World(
         config=config,
         interactions=Interactions(user_ids, item_ids, users, items, counts),
-        waveforms=WorldAudio(config, item_latents),
+        waveforms=Waveforms(functools.partial(item_waveform, config),
+                            zip(item_latents, range(config.n_items))),
         labels=labels,
         item_ids=item_ids,
         user_ids=user_ids,

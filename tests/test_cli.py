@@ -19,6 +19,7 @@ from cfdistill.transfer import ExperimentResult
 from cfdistill.world import generate_world
 
 from conftest import make_tiny_manifest
+from test_network import ARCH_DAMAGE, rewrite_checkpoint
 
 
 def write_manifest(tmp_path, manifest):
@@ -123,7 +124,7 @@ class TestGenerateWorld:
         assert main(["generate-world", str(config), str(tmp_path / "world")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
-        assert "'n_itemz'" in err
+        assert "unknown manifest key 'world.n_itemz'" in err
 
     def test_wrong_world_value_type_is_single_line_error(self, tmp_path, capsys):
         config = tmp_path / "world.json"
@@ -131,7 +132,7 @@ class TestGenerateWorld:
         assert main(["generate-world", str(config), str(tmp_path / "world")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
-        assert "world key 'n_items' must be int, got str '12'" in err
+        assert "manifest key 'world.n_items' must be int, got str '12'" in err
         assert not (tmp_path / "world").exists()
 
     @pytest.mark.parametrize("damage", sorted(DAMAGED_JSON))
@@ -198,7 +199,7 @@ class TestAlsFit:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
-        assert "'reg_lamda'" in err
+        assert "unknown manifest key 'als.reg_lamda'" in err
 
     def test_missing_file_is_single_line_error(self, tmp_path, capsys):
         code = main(["als-fit", str(tmp_path / "nope.tsv"), str(tmp_path / "o.ftab")])
@@ -247,6 +248,33 @@ class TestFeatures:
         err = capsys.readouterr().err
         assert err.startswith("cfdistill: error:") and err.count("\n") == 1
         assert "a.f32.json: sidecar must be a JSON object" in err
+
+
+class TestConfigSection:
+    @pytest.mark.parametrize("command, section, value", [
+        ("generate-world", "world", 3),
+        ("generate-world", "world", ["n_users"]),
+        ("als-fit", "als", 5),
+        ("features", "features", "mel"),
+    ], ids=["world_int", "world_list", "als_int", "features_str"])
+    def test_section_that_is_not_an_object_is_single_line_error(
+        self, tmp_path, capsys, command, section, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: value}), encoding="utf-8")
+        (tmp_path / "logs.tsv").write_text("u1\ti1\n", encoding="utf-8")
+        (tmp_path / "audio").mkdir()
+        args = {"generate-world": [str(config), str(tmp_path / "out")],
+                "als-fit": [str(tmp_path / "logs.tsv"), str(tmp_path / "out"), "--config",
+                            str(config)],
+                "features": [str(tmp_path / "audio"), str(tmp_path / "out"), "--config",
+                             str(config)]}[command]
+        assert main([command, *args]) == 1
+        assert_one_error_naming(
+            capsys, config,
+            f"config section '{section}' must be a JSON object, got {type(value).__name__}",
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestDatasetsRoundTrip:
@@ -336,17 +364,24 @@ class TestManifestCommands:
         assert err == "cfdistill: error: stage=world: train, val and test splits must all be nonempty\n"
         assert not (out / "embeddings").exists() and not (out / "checkpoints").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_a_zip"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", *sorted(ARCH_DAMAGE)])
     def test_damaged_estimator_checkpoint_is_single_line_error(self, tmp_path, capsys, damage):
         manifest = write_manifest(tmp_path, make_tiny_manifest())
         ckpt = tmp_path / "out" / "checkpoints" / "cf_estimator.npz"
         save_checkpoint(build_preset("cf_estimator_desk", 8)[0], ckpt)
         data = ckpt.read_bytes()
-        ckpt.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"not a zip\n" * 50)
+        message = "not a readable checkpoint"
+        if damage == "truncated":
+            ckpt.write_bytes(data[: len(data) // 2])
+        elif damage == "not_a_zip":
+            ckpt.write_bytes(b"not a zip\n" * 50)
+        else:
+            edit, message = ARCH_DAMAGE[damage]
+            rewrite_checkpoint(ckpt, lambda arch, arrays: edit(arch))
         code = main(["train-task", str(manifest), "--out", str(tmp_path / "out"), "--deterministic"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"cfdistill: error: stage=tasks: {ckpt}: not a readable checkpoint")
+        assert err.startswith(f"cfdistill: error: stage=tasks: {ckpt}: {message}")
         assert err.count("\n") == 1
 
     def test_output_dir_from_manifest(self, tmp_path):
@@ -485,8 +520,11 @@ class TestEvaluate:
          (lambda row: row.replace("kd", "k\udcffd"), "not UTF-8 text"),
          (lambda row: row.replace(",3,", ",3.5,"), "invalid literal for int() with base 10: '3.5'"),
          (lambda row: row.replace("0.600000", "nan"), "metric 'nan' is not finite"),
-         (lambda row: row.replace(",0.000\n", ",inf\n"), "seconds 'inf' is not finite")],
-        ids=["short_row", "bad_metric", "not_utf8", "bad_epochs", "nan_metric", "inf_seconds"],
+         (lambda row: row.replace(",0.000\n", ",inf\n"), "seconds 'inf' is not finite"),
+         (lambda row: row.replace(",kd,", ",base,"),
+          "duplicate (task, regime, channels, seed, fold) cell ('genre', 'base', 8, 0, 0)")],
+        ids=["short_row", "bad_metric", "not_utf8", "bad_epochs", "nan_metric", "inf_seconds",
+             "repeated_cell"],
     )
     def test_damaged_row_names_file_and_line(self, tmp_path, capsys, damage, message):
         path = self._results_file(tmp_path)

@@ -23,9 +23,9 @@ from cfdistill import experiment, fileio, pool
 from cfdistill import features as features_module
 from cfdistill import world as world_module
 from cfdistill.cli import main as cli_main
-from cfdistill.experiment import AudioFiles, read_audio_dir, run_experiment, write_items
-from cfdistill.features import FeatureConfig
-from cfdistill.world import WorldAudio, WorldConfig, generate_world
+from cfdistill.experiment import read_audio_dir, run_experiment, write_items
+from cfdistill.features import FeatureConfig, Waveforms
+from cfdistill.world import WorldConfig, generate_world
 
 from conftest import make_tiny_manifest
 from test_experiment import CONFIGS, child_env
@@ -57,7 +57,7 @@ def sources(tmp_path):
     world = generate_world(CONFIG)
     experiment.write_world(world, tmp_path / "world")
     ids, files = read_audio_dir(tmp_path / "world" / "audio", CONFIG.sample_rate)
-    assert ids == world.item_ids and isinstance(files, AudioFiles)
+    assert ids == world.item_ids and isinstance(files, Waveforms)
     return {"generated": (world.item_ids, world.waveforms), "files": (ids, files)}
 
 
@@ -108,13 +108,23 @@ def test_one_and_two_cpus_give_the_same_bytes(tmp_path):
     assert digests[1] == digests[2]
 
 
+SYNTHESIZE = world_module.item_waveform
+
+
 def _refuse(*args, **kwargs):
-    raise AssertionError("the calling process synthesized audio or computed a mel grid")
+    """Stands in for ``item_waveform`` and ``melspectrogram``: it fails in the
+    calling process.  A world's ``waveforms`` carries it to the pool workers
+    (in the ``partial`` they unpickle), where it synthesizes as
+    ``item_waveform`` does."""
+    if not pool.in_worker():
+        raise AssertionError("the calling process synthesized audio or computed a mel grid")
+    return SYNTHESIZE(*args, **kwargs)
 
 
 def test_parent_never_synthesizes_or_computes_a_grid(tmp_path, monkeypatch):
     """A whole run, and generate-world, leave every waveform and grid to the
-    workers (spawned, so the patches here do not reach them)."""
+    workers.  The workers are spawned, so the patches here reach them only
+    through the ``partial`` that a world's ``waveforms`` carries."""
     for module in (world_module, experiment, features_module):
         for name in ("item_waveform", "melspectrogram"):
             if hasattr(module, name):
@@ -189,9 +199,9 @@ def test_datasets_world_stage_checks_every_file_and_keeps_no_clip(tmp_path, monk
     settings["features"] = FeatureConfig(sample_rate=CONFIG.sample_rate)
     handover = experiment._stage_world(settings, tmp_path / "out")
     ids, audio = handover["audio"]
-    assert ids == world.item_ids and isinstance(audio, AudioFiles)
+    assert ids == world.item_ids and isinstance(audio, Waveforms)
     assert clips.made == CONFIG.n_items and clips.peak == 1 and clips.live == 0
-    assert all(p.is_absolute() for p in audio.paths)
+    assert all(path.is_absolute() and rate == CONFIG.sample_rate for path, rate in audio.args)
     assert len(pickle.dumps(audio[:experiment.ITEM_BLOCK])) < 200 * experiment.ITEM_BLOCK
 
 
@@ -210,7 +220,8 @@ def test_slices_and_indexing_give_the_same_waveforms():
     audio = world.waveforms
     assert len(audio) == CONFIG.n_items
     part = audio[30:40]
-    assert isinstance(part, WorldAudio) and len(part) == 10 and part.indices == range(30, 40)
+    assert isinstance(part, Waveforms) and len(part) == 10
+    assert [i for _, i in part.args] == list(range(30, 40))
     assert len(pickle.dumps(part)) < 2000
     for j, i in enumerate(range(30, 40)):
         want = world_module.item_waveform(CONFIG, world.item_latents[i], i).samples

@@ -40,6 +40,17 @@ def rewrite_checkpoint(path, edit):
     np.savez(path, arch=np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8), **arrays)
 
 
+# Damage to a checkpoint's 'arch' record: the edit, and the error it gives.
+ARCH_DAMAGE = {
+    "layer_not_a_record": (lambda arch: arch["layers"].__setitem__(0, 1),
+                           "malformed checkpoint 'arch' record: 'int' object is not iterable"),
+    "no_input_shape": (lambda arch: arch.pop("input_shape"),
+                       "checkpoint 'arch' record has no 'input_shape'"),
+    "unknown_dtype": (lambda arch: arch.__setitem__("dtype", "banana"),
+                      "checkpoint dtype must be 'float32' or 'float64', got 'banana'"),
+}
+
+
 def milestone_shapes(model, x):
     """Shapes after each max-pool, the GAP, and the final FC."""
     shapes = traced_shapes(model, x)
@@ -349,6 +360,7 @@ class TestCheckpoints:
         ("not_a_zip", "not a readable checkpoint"),
         ("no_arch", "checkpoint has no 'arch' record"),
         ("bad_json", "not a readable checkpoint: Expecting property name"),
+        *((damage, match) for damage, (_, match) in sorted(ARCH_DAMAGE.items())),
     ])
     def test_damaged_file_rejected_naming_it(self, tmp_path, damage, match):
         model, _, _ = build_preset("cf_estimator_desk", 8, seed=0)
@@ -358,6 +370,8 @@ class TestCheckpoints:
             path.write_bytes(path.read_bytes()[:-100])
         elif damage == "not_a_zip":
             path.write_bytes(b"\x00" * 64)
+        elif damage in ARCH_DAMAGE:
+            rewrite_checkpoint(path, lambda arch, arrays: ARCH_DAMAGE[damage][0](arch))
         else:
             with np.load(path) as data:
                 arrays = {k: data[k] for k in data.files if k != "arch"}
