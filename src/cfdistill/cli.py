@@ -39,13 +39,15 @@ from .world import WorldConfig, generate_world
 
 
 def _read_config(path, section):
-    """A config JSON object; settings nested under ``section`` are also accepted."""
+    """A config JSON object's settings: a manifest's (a file with
+    ``schema_version``) ``section``, or ``{}`` if it has none; else the
+    file's ``section`` if it has one, or the whole file."""
     if path is None:
         return {}
     config = fileio.read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object, got {type(config).__name__}")
-    values = config.get(section, config)
+    values = config.get(section, {} if "schema_version" in config else config)
     if not isinstance(values, dict):
         raise ValueError(
             f"{path}: config section '{section}' must be a JSON object, got {type(values).__name__}"

@@ -13,10 +13,13 @@ SE gate, the conv bias) run on wide rows (``_wide``): a contiguous
 (C,) or (N, C) operand tiled k times.  At C = 8 numpy's inner loop then
 runs up to 2048 values long instead of 8.  The conv's tap sum runs in
 blocks of 4096 grid rows, so each block's partial sum stays in cache over
-its nine products (Goto and van de Geijn, ACM TOMS 2008).  Reductions
-(``einsum``, ``mean``, ``sum``), the conv's ``dw`` and the max-pool are
-not restructured.  None of this changes an operand or the order of a sum,
-so every output is the same bits as before; the tests compare against the
+its nine products (Goto and van de Geijn, ACM TOMS 2008).  The SE
+block's spatial mean and gate gradient are ``einsum`` sums over an
+(N, H*W, C) view: the same bits as ``mean`` and ``sum`` over axes (1, 2),
+about three times faster.  The train-mode max-pool finds each window's
+maximum as eval does, then its first offset by one ``equal`` and an
+``argmax``.  None of this changes an operand or the order of a sum, so
+every output is the same bits as before; the tests compare against the
 earlier layers kept in ``tests/reference_layers.py``.
 """
 
@@ -271,10 +274,13 @@ class MaxPool(Layer):
     """Non-overlapping window maximum; spatial dims must divide evenly.
 
     The gradient routes to each window's maximum, first occurrence in
-    row-major window order on ties.  The forward pass walks the window
-    offsets as strided views of the (N, Ho, ph, Wo, pw, C) reshape of the
-    input.  The train cache holds the input shape and each maximum's
-    window index, (N, Ho, Wo, C).
+    row-major window order on ties; a window that holds a NaN outputs NaN
+    and routes to its first NaN, as ``np.argmax`` does.  The forward pass
+    walks the window offsets as strided views of the (N, Ho, ph, Wo, pw, C)
+    reshape of the input.  A train forward then compares the windows,
+    window-major, with their maxima and takes the first match.  The train
+    cache holds the input shape and each maximum's window index,
+    (N, Ho, Wo, C).
     """
 
     def __init__(self, pool):
@@ -287,20 +293,21 @@ class MaxPool(Layer):
             raise ValueError(
                 f"spatial dims ({h}, {w}) not divisible by pool ({self.ph}, {self.pw})"
             )
-        v = x.reshape(n, h // self.ph, self.ph, w // self.pw, self.pw, c)
+        ho, wo = h // self.ph, w // self.pw
+        v = x.reshape(n, ho, self.ph, wo, self.pw, c)
         out = v[:, :, 0, :, 0, :].copy()
-        if train:  # the row-major window index of each maximum's first occurrence
-            arg = np.zeros(out.shape, dtype=np.intp)
-            later = np.empty(out.shape, dtype=bool)
         for k in range(1, self.ph * self.pw):
-            view = v[:, :, k // self.pw, :, k % self.pw, :]
-            if train:
-                np.greater(view, out, out=later)
-                np.copyto(arg, k, where=later)
             # np.maximum returns its second operand on ties, so the earlier
             # value (and the sign of a zero) stays; NaN propagates.
-            np.maximum(view, out, out=out)
-        return out, (x.shape, arg) if train else None
+            np.maximum(v[:, :, k // self.pw, :, k % self.pw, :], out, out=out)
+        if not train:
+            return out, None
+        hit = np.empty((n, ho, wo, self.ph * self.pw, c), dtype=bool)
+        windows = v.transpose(0, 1, 3, 2, 4, 5)  # (N, Ho, Wo, ph, pw, C)
+        np.equal(windows, out[:, :, :, None, None, :], out=hit.reshape(windows.shape))
+        if np.isnan(out).any():  # NaN equals nothing; route to the first NaN
+            hit |= np.isnan(windows).reshape(hit.shape)
+        return out, (x.shape, hit.argmax(axis=3))
 
     def backward(self, dout, cache):
         (n, h, w, c), arg = cache
@@ -339,7 +346,8 @@ class SEBlock(Layer):
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[3] != self.channels:
             raise ValueError(f"se_block expects (N, H, W, {self.channels}), got {x.shape}")
-        s = x.mean(axis=(1, 2))
+        n, h, w, c = x.shape
+        s = np.einsum("nrc->nc", x.reshape(n, h * w, c)) / (h * w)
         z1 = s @ self.params["w1"] + self.params["b1"]
         a1 = np.maximum(z1, 0.0)
         gate = sigmoid(a1 @ self.params["w2"] + self.params["b2"])
@@ -348,9 +356,9 @@ class SEBlock(Layer):
 
     def backward(self, dout, cache):
         x, s, z1, a1, gate = cache
-        _, h, w, _ = x.shape
+        n, h, w, c = x.shape
         dx = np.multiply(*_wide(dout, gate)).reshape(dout.shape)
-        dgate = np.sum(dout * x, axis=(1, 2))
+        dgate = np.einsum("nrc,nrc->nc", dout.reshape(n, h * w, c), x.reshape(n, h * w, c))
         dz2 = dgate * gate * (1.0 - gate)
         dw2 = a1.T @ dz2
         db2 = dz2.sum(axis=0)

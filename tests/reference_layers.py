@@ -17,6 +17,14 @@ before their per-channel ops ran on wide rows and the tap sum ran in row
 blocks: the conv sums each tap's product over the whole padded grid, then
 crops and adds the bias by broadcasting, and the SE gate multiplies by
 broadcasting over (N, 1, 1, C).  The tests require the same bits here too.
+This ``SEBlock`` also reduces with ``mean`` and ``sum`` over the spatial
+axes, where the library's uses ``einsum``.
+
+``GlobalAvgPool`` and ``FullyConnected`` are frozen copies of the
+library's.  With ``FlatConv2d``, ``FlatBatchNorm``, ``ReLU``, ``MaxPool``
+and ``SEBlock`` they make the bit guard's reference network: a whole desk
+train step and eval forward, one layer at a time, that the library's
+``NetworkModel`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -330,3 +338,31 @@ class SEBlock(Layer):
         ds = dz1 @ self.params["w1"].T
         dx += ds[:, None, None, :] / (h * w)
         return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+class GlobalAvgPool(Layer):
+    def forward(self, x, train=False):
+        return x.mean(axis=(1, 2)), x.shape if train else None
+
+    def backward(self, dout, cache):
+        n, h, w, c = cache
+        dx = np.broadcast_to(dout[:, None, None, :] / (h * w), (n, h, w, c)).copy()
+        return dx, {}
+
+
+class FullyConnected(Layer):
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
+        super().__init__()
+        self.in_dim = in_dim
+        self.out_dim = out_dim
+        self.params = {
+            "w": _he_normal(rng, (in_dim, out_dim), in_dim, dtype),
+            "b": np.zeros(out_dim, dtype=dtype),
+        }
+
+    def forward(self, x, train=False):
+        return x @ self.params["w"] + self.params["b"], x if train else None
+
+    def backward(self, dout, cache):
+        x = cache
+        return dout @ self.params["w"].T, {"w": x.T @ dout, "b": dout.sum(axis=0)}

@@ -276,6 +276,27 @@ class TestConfigSection:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, section", [("als-fit", "als"), ("features", "features")])
+    def test_manifest_without_section_takes_defaults(self, tmp_path, command, section):
+        """A manifest (it has ``schema_version``) that lacks the command's
+        section gives the command's defaults, as no ``--config`` does; its
+        other sections are not read as the command's keys."""
+        manifest = make_tiny_manifest()
+        del manifest[section]
+        config = write_manifest(tmp_path, manifest)
+        logs = tmp_path / "logs.tsv"
+        logs.write_text("u1\ti1\nu1\ti2\t3\nu2\ti1\n", encoding="utf-8")
+        audio = tmp_path / "audio"
+        write_wav(audio / "a.wav", np.random.default_rng(0).normal(size=30000) * 0.05, 16000)
+        source = str(logs if command == "als-fit" else audio)
+        outputs = []
+        for name, extra in (("with", ["--config", str(config)]), ("without", [])):
+            (tmp_path / name).mkdir()
+            assert main([command, source, str(tmp_path / name / "out"), *extra]) == 0
+            files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
+            outputs.append([(p.relative_to(tmp_path / name), p.read_bytes()) for p in files])
+        assert outputs[0] == outputs[1]
+
 
 class TestDatasetsRoundTrip:
     def test_generated_world_read_back_as_datasets(self, tmp_path):

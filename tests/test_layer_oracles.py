@@ -333,3 +333,23 @@ def test_float32_agrees_with_float64(kind, make, shape, train):
     _assert_scaled(dx32, dx64, F32_TOL, scale, f"{kind} dx")
     for name in g64:
         _assert_scaled(g32[name], g64[name], F32_TOL, scale, f"{kind} d{name}")
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_max_pool_window_with_nan_routes_to_first_nan(train):
+    """A window that holds a NaN outputs NaN and routes its gradient to its
+    first NaN in row-major window order, as ``np.argmax`` and the reference
+    do; other windows keep the first maximum."""
+    x = np.array([[1.0, np.nan], [np.nan, 5.0]]).reshape(1, 2, 2, 1)  # NaN at offsets 1, 2
+    y, cache = MaxPool((2, 2)).forward(x, train=True)
+    assert np.isnan(y).all()
+    dx, _ = MaxPool((2, 2)).backward(np.ones((1, 1, 1, 1)), cache)
+    np.testing.assert_array_equal(dx.ravel(), [0.0, 1.0, 0.0, 0.0])
+    rng = np.random.default_rng(11)
+    shape = (4, 8, 12, 3)
+    for dtype in BIT_DTYPES:
+        x = _tied(rng, shape, dtype)
+        x[rng.random(shape) < 0.02] = np.nan
+        x[0, 0, :3, 0] = [np.nan, np.inf, -np.inf]
+        dout = rng.normal(size=(4, 4, 3, 3)).astype(dtype)
+        _same_step(MaxPool((2, 4)), ref.MaxPool((2, 4)), x, dout, train)
