@@ -27,8 +27,8 @@ class AlsConfig:
     alpha: float = 40.0
     n_iterations: int = 15
     seed: int = 0
-    # Scale the ridge term per row by its interaction count (the regime the
-    # solver and weighted_loss must agree on for monotone sweeps).
+    # Scale the ridge term per row by its interaction count; the objective
+    # that each sweep lowers depends on it.
     scale_reg_by_count: bool = True
 
     def __post_init__(self):
@@ -40,6 +40,8 @@ class AlsConfig:
             raise ValueError("alpha must be > 0")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class UserItemMatrix:
@@ -327,41 +329,6 @@ def als_fit(
         item_ids=matrix.item_ids,
         user_ids=matrix.user_ids,
     )
-
-
-def weighted_loss(matrix: UserItemMatrix, emb: CfEmbedding, config: AlsConfig):
-    """Exact confidence-weighted objective, including all zero entries.
-
-    Computed densely, which is fine at the scales this artifact targets;
-    at production scale the usual sparse identity over the nonzeros would
-    be required instead.  The ridge term follows the config: per-row
-    count-scaled when ``scale_reg_by_count`` is set, plain otherwise, so
-    the value is the precise objective the solver minimizes.
-    """
-    if emb.user_vectors is None:
-        raise ValueError("weighted_loss needs both factor tables")
-    x, y = emb.user_vectors, emb.item_vectors
-    if x.shape[0] != matrix.n_users or y.shape[0] != matrix.n_items:
-        raise ValueError(
-            f"embedding shapes {x.shape}/{y.shape} do not match matrix "
-            f"{matrix.n_users}x{matrix.n_items}"
-        )
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("factor widths differ between sides")
-    r = matrix.counts.toarray().astype(np.float64)
-    conf = 1.0 + config.alpha * r
-    pref = (r > 0).astype(np.float64)
-    pred = x @ y.T
-    data_term = float(np.sum(conf * (pref - pred) ** 2))
-    nnz_u = np.diff(matrix.counts.indptr)
-    nnz_i = np.diff(matrix.counts_by_item.indptr)
-    if config.scale_reg_by_count:
-        reg = config.reg_lambda * (
-            float(nnz_u @ np.sum(x * x, axis=1)) + float(nnz_i @ np.sum(y * y, axis=1))
-        )
-    else:
-        reg = config.reg_lambda * (float(np.sum(x * x)) + float(np.sum(y * y)))
-    return data_term + reg
 
 
 def save_embedding(emb: CfEmbedding, path, meta=None):

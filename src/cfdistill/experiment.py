@@ -109,7 +109,7 @@ def load_manifest(path):
 def _check_type(label, value, kind):
     """Raise a ValueError naming ``label`` unless ``value`` is of ``kind``: int,
     float, bool, str, dict, list or an Optional of one.  An int passes as a
-    float; a bool passes only as a bool."""
+    float; a bool passes only as a bool; a float must be finite."""
     optional = typing.get_origin(kind) is typing.Union  # Optional[X]
     if optional:
         if value is None:
@@ -121,6 +121,8 @@ def _check_type(label, value, kind):
             f"{label} must be {kind.__name__}{' or null' if optional else ''}, "
             f"got {type(value).__name__} {value!r}"
         )
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{label} must be a finite number, got {value!r}")
 
 
 def _defaults(path):
@@ -179,6 +181,8 @@ def validate_manifest(manifest):
     seeds = top["seeds"]
     for i, seed in enumerate(seeds):
         _check_type(f"manifest key 'seeds[{i}]'", seed, int)
+        if seed < 0:
+            raise ValueError(f"manifest key 'seeds[{i}]' must be >= 0, got {seed}")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValueError(f"manifest seeds must be a non-empty list of distinct ints, got {seeds}")
     if not top["regimes"]:

@@ -29,10 +29,6 @@ class Waveform:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 class Waveforms(Sequence):
     """Waveforms made when read: item ``i`` is ``make(*args[i])``.

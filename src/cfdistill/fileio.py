@@ -4,7 +4,7 @@ Three formats live here:
 
 * the "float table" container used for embedding tables and cached
   mel grids (see README for the byte layout),
-* mono 16-bit PCM WAV read/write,
+* mono 16-bit PCM WAV input,
 * raw little-endian float32 waveforms with a one-line JSON sidecar,
   used for synthetic audio.
 """
@@ -156,15 +156,6 @@ def _undecodable_line(path):
                 raw.decode("utf-8")
             except UnicodeDecodeError:
                 return lineno
-
-
-def write_wav(path, samples, sample_rate):
-    """Write mono float samples in [-1, 1) as 16-bit PCM."""
-    samples = np.asarray(samples, dtype=np.float64)
-    clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-    pcm = np.round(clipped * 32768.0).astype(np.int16)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    wavfile.write(path, int(sample_rate), pcm)
 
 
 def read_wav(path, expect_rate=None):

@@ -76,12 +76,3 @@ def softmax_cross_entropy(logits, classes):
     probs[np.arange(z.shape[0]), cls] -= 1.0
     grad = probs / z.shape[0]
     return value, (grad[0] if squeeze else grad)
-
-
-def softmax_probabilities(logits):
-    """Softmax of logits (stabilized); batch or single vector."""
-    z, squeeze = _as_batch(logits)
-    zmax = z.max(axis=1, keepdims=True)
-    probs = np.exp(z - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs[0] if squeeze else probs

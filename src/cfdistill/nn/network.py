@@ -293,14 +293,6 @@ PRESETS = {
 }
 
 
-def build_preset(name, n_channels, seed=0, dtype=np.float64, **kwargs):
-    """Build a preset network; returns (model, specs, input_shape)."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    specs, input_shape = PRESETS[name](n_channels, **kwargs)
-    return build_network(specs, input_shape, seed=seed, dtype=dtype), specs, input_shape
-
-
 def save_checkpoint(model: NetworkModel, path, extra=None):
     """Write architecture plus all parameters/buffers to one .npz file, atomically."""
     arch = {
@@ -374,7 +366,7 @@ def load_checkpoint(path, expect_specs=None, expect_input_shape=None):
             raise ValueError(
                 f"checkpoint input shape {input_shape} != expected {tuple(expect_input_shape)}"
             )
-        dtype = arch.get("dtype", "float64")
+        dtype = arch["dtype"]
         if dtype not in ("float32", "float64"):
             raise ValueError(f"checkpoint dtype must be 'float32' or 'float64', got {dtype!r}")
         model = build_network(specs, input_shape, seed=0, dtype=dtype)

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(kw_only=True)
@@ -123,7 +125,6 @@ class ExperimentResult:
     n_channels: int
     seed: int
     fold: int
-    metric_name: str
     metric_value: float
     epochs_run: int
     seconds: float = 0.0
@@ -366,7 +367,6 @@ def train_task(
         n_channels=n_channels,
         seed=regime.seed,
         fold=fold,
-        metric_name=task.metric,
         metric_value=_metric_value(task, outputs(data.test_idx), data.targets[data.test_idx]),
         epochs_run=epochs_run,
         curve=curve,

@@ -56,6 +56,8 @@ class WorldConfig:
             raise ValueError("invalid band range")
         if self.n_users < 1 or self.n_items < 1 or self.latent_dim < 1:
             raise ValueError("world dimensions must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n_samples(self) -> int:
@@ -69,7 +71,6 @@ class World:
     waveforms: Waveforms  # or any picklable sequence of Waveforms
     labels: np.ndarray
     item_ids: list
-    user_ids: list
     item_latents: np.ndarray
     user_latents: np.ndarray
 
@@ -201,34 +202,6 @@ def generate_world(config: WorldConfig) -> World:
                             zip(item_latents, range(config.n_items))),
         labels=labels,
         item_ids=item_ids,
-        user_ids=user_ids,
         item_latents=item_latents,
         user_latents=user_latents,
     )
-
-
-def mean_canonical_correlation(a, b):
-    """Mean canonical correlation between the columns of two matrices.
-
-    Measures alignment up to rotation; used to check that factorized
-    embeddings recover the world's true latents.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("need the same number of rows")
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    k = min(a.shape[1], b.shape[1])
-
-    def _whiten(m):
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > s[0] * 1e-10)) if s.size else 0
-        return u[:, :rank]
-
-    ua, ub = _whiten(a), _whiten(b)
-    corrs = np.linalg.svd(ua.T @ ub, compute_uv=False)
-    corrs = np.clip(corrs[:k], 0.0, 1.0)
-    if corrs.size < k:
-        corrs = np.concatenate([corrs, np.zeros(k - corrs.size)])
-    return float(np.mean(corrs))

@@ -1,9 +1,15 @@
-"""Shared fixtures: a tiny, seconds-scale experiment manifest."""
+"""Shared fixtures: a tiny, seconds-scale experiment manifest, preset
+networks and WAV files."""
 
 import copy
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.io import wavfile
+
+from cfdistill.nn.network import PRESETS, build_network
 
 TINY_MANIFEST = {
     "schema_version": 1,
@@ -53,3 +59,20 @@ def tiny_manifest_file(tmp_path, tiny_manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(tiny_manifest, indent=2), encoding="utf-8")
     return path
+
+
+def build_preset(name, n_channels, seed=0, dtype=np.float64, **kwargs):
+    """Build a preset network; returns (model, specs, input_shape)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+    specs, input_shape = PRESETS[name](n_channels, **kwargs)
+    return build_network(specs, input_shape, seed=seed, dtype=dtype), specs, input_shape
+
+
+def write_wav(path, samples, sample_rate):
+    """Write mono float samples in [-1, 1) as 16-bit PCM."""
+    samples = np.asarray(samples, dtype=np.float64)
+    clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
+    pcm = np.round(clipped * 32768.0).astype(np.int16)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    wavfile.write(path, int(sample_rate), pcm)

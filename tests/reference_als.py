@@ -6,6 +6,9 @@ at a time with two id dicts; ``als_solve_side`` solves each row through scipy's
 the ridge added as ``reg * eye``.  Both were the library's code before the
 columnar builder and the direct ``potrf``/``potrs`` calls replaced them; the
 tests require the two to agree bit for bit.
+
+``weighted_loss`` is the objective the solver minimizes, computed densely
+over every (user, item) entry; the tests check that each sweep lowers it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from cfdistill.als import AlsConfig, UserItemMatrix
+from cfdistill.als import AlsConfig, CfEmbedding, UserItemMatrix
 
 
 def build_interaction_matrix(logs: Sequence[tuple]) -> UserItemMatrix:
@@ -98,3 +101,38 @@ def als_solve_side(fixed, matrix: UserItemMatrix, config: AlsConfig, side: str):
             raise ValueError(f"normal matrix for row {u} is not SPD: {exc}") from exc
         out[u] = cho_solve(factor, b)
     return out
+
+
+def weighted_loss(matrix: UserItemMatrix, emb: CfEmbedding, config: AlsConfig):
+    """Exact confidence-weighted objective, including all zero entries.
+
+    Computed densely, which is fine at the scales this artifact targets;
+    at production scale the usual sparse identity over the nonzeros would
+    be required instead.  The ridge term follows the config: per-row
+    count-scaled when ``scale_reg_by_count`` is set, plain otherwise, so
+    the value is the precise objective the solver minimizes.
+    """
+    if emb.user_vectors is None:
+        raise ValueError("weighted_loss needs both factor tables")
+    x, y = emb.user_vectors, emb.item_vectors
+    if x.shape[0] != matrix.n_users or y.shape[0] != matrix.n_items:
+        raise ValueError(
+            f"embedding shapes {x.shape}/{y.shape} do not match matrix "
+            f"{matrix.n_users}x{matrix.n_items}"
+        )
+    if x.shape[1] != y.shape[1]:
+        raise ValueError("factor widths differ between sides")
+    r = matrix.counts.toarray().astype(np.float64)
+    conf = 1.0 + config.alpha * r
+    pref = (r > 0).astype(np.float64)
+    pred = x @ y.T
+    data_term = float(np.sum(conf * (pref - pred) ** 2))
+    nnz_u = np.diff(matrix.counts.indptr)
+    nnz_i = np.diff(matrix.counts_by_item.indptr)
+    if config.scale_reg_by_count:
+        reg = config.reg_lambda * (
+            float(nnz_u @ np.sum(x * x, axis=1)) + float(nnz_i @ np.sum(y * y, axis=1))
+        )
+    else:
+        reg = config.reg_lambda * (float(np.sum(x * x)) + float(np.sum(y * y)))
+    return data_term + reg

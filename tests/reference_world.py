@@ -5,6 +5,9 @@
 It was the library's code before the cached synthesis plan and the one
 batched FFT per item replaced it; the tests require the two to agree bit
 for bit.
+
+``mean_canonical_correlation`` measures how well factorized embeddings
+recover the world's true latents, up to rotation.
 """
 
 from __future__ import annotations
@@ -45,3 +48,30 @@ def item_waveform(config: WorldConfig, latent, item_index):
         wave += config.tone_level * amp * np.sqrt(2.0) * np.sin(2.0 * np.pi * center * t + phase)
     wave += config.noise_level * rng.standard_normal(n)
     return Waveform(AMPLITUDE * wave, config.sample_rate)
+
+
+def mean_canonical_correlation(a, b):
+    """Mean canonical correlation between the columns of two matrices.
+
+    Measures alignment up to rotation; used to check that factorized
+    embeddings recover the world's true latents.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("need the same number of rows")
+    a = a - a.mean(axis=0)
+    b = b - b.mean(axis=0)
+    k = min(a.shape[1], b.shape[1])
+
+    def _whiten(m):
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        rank = int(np.sum(s > s[0] * 1e-10)) if s.size else 0
+        return u[:, :rank]
+
+    ua, ub = _whiten(a), _whiten(b)
+    corrs = np.linalg.svd(ua.T @ ub, compute_uv=False)
+    corrs = np.clip(corrs[:k], 0.0, 1.0)
+    if corrs.size < k:
+        corrs = np.concatenate([corrs, np.zeros(k - corrs.size)])
+    return float(np.mean(corrs))

@@ -17,7 +17,6 @@ from cfdistill.als import (
     CfEmbedding,
     als_fit,
     als_solve_side,
-    weighted_loss,
 )
 from cfdistill.cli import main
 from cfdistill.evaluation import paired_improvement_test
@@ -32,10 +31,11 @@ from cfdistill.nn.layers import (
     SEBlock,
 )
 from cfdistill.nn.losses import cosine_proximity_loss, mse_loss, softmax_cross_entropy
-from cfdistill.nn.network import build_preset
 from cfdistill.transfer import RegimeConfig, TaskSpec, distillation_loss, train_task
 
+from conftest import build_preset
 from gradcheck import numeric_grad
+from reference_als import weighted_loss
 from test_als import dense_solve_oracle, random_matrix
 from test_features import dft_power_oracle, windowed_frame
 from test_network import milestone_shapes

@@ -13,9 +13,9 @@ from cfdistill.als import (
     load_embedding,
     parse_log_file,
     save_embedding,
-    weighted_loss,
 )
 from log_columns import interactions
+from reference_als import weighted_loss
 
 
 def random_matrix(rng, n_users, n_items, density=0.3, max_count=5):

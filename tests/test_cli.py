@@ -13,12 +13,12 @@ from cfdistill.als import load_embedding, item_vector
 from cfdistill.cli import main
 from cfdistill.experiment import load_manifest, run_experiment, validate_manifest, write_results_csv
 from cfdistill.features import mel_filterbank, stft_power
-from cfdistill.fileio import load_float_table, write_raw_float32, write_wav
-from cfdistill.nn.network import build_preset, save_checkpoint
+from cfdistill.fileio import load_float_table, write_raw_float32
+from cfdistill.nn.network import save_checkpoint
 from cfdistill.transfer import ExperimentResult
 from cfdistill.world import generate_world
 
-from conftest import make_tiny_manifest
+from conftest import build_preset, make_tiny_manifest, write_wav
 from test_network import ARCH_DAMAGE, rewrite_checkpoint
 
 
@@ -56,10 +56,14 @@ BAD_VALUES = [
     ("regimes[0].epochs", -1, "manifest regimes[0]: epochs must be >= 0"),
     ("estimator.learning_rate", 0, "manifest estimator: learning_rate must be > 0"),
     ("regimes[1].patience", 0, "manifest regimes[1]: patience must be >= 1"),
+    ("estimator.seed", -1, "manifest estimator: seed must be >= 0"),
+    ("world.seed", -1, "manifest world: seed must be >= 0"),
+    ("als.seed", -1, "manifest als: seed must be >= 0"),
+    ("seeds", [-1], "manifest key 'seeds[0]' must be >= 0, got -1"),
 ]
 
-# (key path, value, part of the error) for values of the wrong JSON type, or
-# a string outside the values its key takes
+# (key path, value, part of the error) for values of the wrong JSON type, a
+# string outside the values its key takes, or a number that is not finite
 BAD_TYPES = [
     ("dtype", "banana", "manifest key 'dtype' must be 'float32' or 'float64', got 'banana'"),
     ("dtype", "int64", "manifest key 'dtype' must be 'float32' or 'float64', got 'int64'"),
@@ -83,6 +87,19 @@ BAD_TYPES = [
     ("seeds", [], "manifest seeds must be a non-empty list of distinct ints, got []"),
     ("seeds", [0, 0], "manifest seeds must be a non-empty list of distinct ints, got [0, 0]"),
     ("seeds", [0, "1"], "manifest key 'seeds[1]' must be int, got str '1'"),
+    ("estimator.learning_rate", float("nan"),
+     "manifest key 'estimator.learning_rate' must be a finite number, got nan"),
+    ("regimes[1].kd_weight", float("nan"),
+     "manifest key 'regimes[1].kd_weight' must be a finite number, got nan"),
+    ("als.alpha", float("inf"), "manifest key 'als.alpha' must be a finite number, got inf"),
+    ("split.val_fraction", float("nan"),
+     "manifest key 'split.val_fraction' must be a finite number, got nan"),
+    ("estimator.val_fraction", float("nan"),
+     "manifest key 'estimator.val_fraction' must be a finite number, got nan"),
+    ("world.tone_level", float("nan"),
+     "manifest key 'world.tone_level' must be a finite number, got nan"),
+    ("world.noise_level", float("-inf"),
+     "manifest key 'world.noise_level' must be a finite number, got -inf"),
 ]
 
 
@@ -274,6 +291,16 @@ class TestConfigSection:
             capsys, config,
             f"config section '{section}' must be a JSON object, got {type(value).__name__}",
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section", [("generate-world", "world"), ("als-fit", "als")])
+    def test_negative_seed_override_is_single_line_error(self, tmp_path, capsys, command, section):
+        config = tmp_path / "config.json"
+        config.write_text("{}", encoding="utf-8")
+        (tmp_path / "logs.tsv").write_text("u1\ti1\n", encoding="utf-8")
+        source = config if command == "generate-world" else tmp_path / "logs.tsv"
+        assert main([command, str(source), str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == f"cfdistill: error: manifest {section}: seed must be >= 0\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, section", [("als-fit", "als"), ("features", "features")])
@@ -512,10 +539,10 @@ class TestManifestCommands:
 class TestEvaluate:
     def _results_file(self, tmp_path):
         rows = [
-            ("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.5, 3, 0.0)),
-            ("genre", ExperimentResult("base", 8, 1, 0, "accuracy", 0.7, 3, 0.0)),
-            ("genre", ExperimentResult("kd", 8, 0, 0, "accuracy", 0.6, 3, 0.0)),
-            ("genre", ExperimentResult("kd", 8, 1, 0, "accuracy", 0.9, 3, 0.0)),
+            ("genre", ExperimentResult("base", 8, 0, 0, 0.5, 3, 0.0)),
+            ("genre", ExperimentResult("base", 8, 1, 0, 0.7, 3, 0.0)),
+            ("genre", ExperimentResult("kd", 8, 0, 0, 0.6, 3, 0.0)),
+            ("genre", ExperimentResult("kd", 8, 1, 0, 0.9, 3, 0.0)),
         ]
         path = tmp_path / "results.csv"
         write_results_csv(path, rows)
@@ -564,8 +591,8 @@ class TestUsage:
 
     @staticmethod
     def _evaluate_in_child(tmp_path, module):
-        rows = [("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.5, 3, 0.0)),
-                ("genre", ExperimentResult("base", 8, 1, 0, "accuracy", 0.6, 3, 0.0))]
+        rows = [("genre", ExperimentResult("base", 8, 0, 0, 0.5, 3, 0.0)),
+                ("genre", ExperimentResult("base", 8, 1, 0, 0.6, 3, 0.0))]
         path = tmp_path / "results.csv"
         write_results_csv(path, rows)
         # run from the directory holding the package under test, so the

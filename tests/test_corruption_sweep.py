@@ -36,6 +36,8 @@ from cfdistill.experiment import (_load_labels_csv, _write_labels, read_results_
 from cfdistill.nn.network import LayerSpec, build_network, load_checkpoint, save_checkpoint
 from cfdistill.transfer import ExperimentResult, TaskSpec
 
+from conftest import write_wav
+
 SEED = 15
 RATE = 16000
 ITEMS = ["i0", "i1", "i2"]
@@ -63,7 +65,7 @@ def _sidecar(path):
 
 
 def _wav(path):
-    fileio.write_wav(path.with_suffix(".wav"), np.linspace(-0.5, 0.5, 200), RATE)
+    write_wav(path.with_suffix(".wav"), np.linspace(-0.5, 0.5, 200), RATE)
     return path.with_suffix(".wav"), lambda p: fileio.read_audio(p, expect_rate=RATE)
 
 
@@ -84,8 +86,8 @@ def _logs(path):
 
 
 def _results(path):
-    write_results_csv(path, [("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.52, 3, 1.25)),
-                             ("genre", ExperimentResult("kd", 8, 0, 0, "accuracy", 0.6, 12, 2.5))])
+    write_results_csv(path, [("genre", ExperimentResult("base", 8, 0, 0, 0.52, 3, 1.25)),
+                             ("genre", ExperimentResult("kd", 8, 0, 0, 0.6, 12, 2.5))])
     return path, lambda p: read_results_csv(p)
 
 

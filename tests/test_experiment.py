@@ -628,10 +628,10 @@ class TestManifestMutationSweep:
 class TestResultsSummary:
     def _fixture_rows(self, tmp_path):
         results = [
-            ("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.5, 3, 1.0)),
-            ("genre", ExperimentResult("base", 8, 1, 0, "accuracy", 0.7, 3, 1.0)),
-            ("genre", ExperimentResult("kd", 8, 0, 0, "accuracy", 0.6, 3, 1.0)),
-            ("genre", ExperimentResult("kd", 8, 1, 0, "accuracy", 0.9, 3, 1.0)),
+            ("genre", ExperimentResult("base", 8, 0, 0, 0.5, 3, 1.0)),
+            ("genre", ExperimentResult("base", 8, 1, 0, 0.7, 3, 1.0)),
+            ("genre", ExperimentResult("kd", 8, 0, 0, 0.6, 3, 1.0)),
+            ("genre", ExperimentResult("kd", 8, 1, 0, 0.9, 3, 1.0)),
         ]
         path = tmp_path / "results.csv"
         write_results_csv(path, results)
@@ -653,8 +653,8 @@ class TestResultsSummary:
 
     def test_single_pair_reports_none(self, tmp_path):
         results = [
-            ("genre", ExperimentResult("base", 8, 0, 0, "accuracy", 0.5, 3, 1.0)),
-            ("genre", ExperimentResult("kd", 8, 0, 0, "accuracy", 0.6, 3, 1.0)),
+            ("genre", ExperimentResult("base", 8, 0, 0, 0.5, 3, 1.0)),
+            ("genre", ExperimentResult("kd", 8, 0, 0, 0.6, 3, 1.0)),
         ]
         path = tmp_path / "r.csv"
         write_results_csv(path, results)

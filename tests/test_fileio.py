@@ -21,11 +21,12 @@ from cfdistill.fileio import (
     read_wav,
     save_float_table,
     write_raw_float32,
-    write_wav,
 )
 from cfdistill.nn.network import LayerSpec, build_network, save_checkpoint
 from cfdistill.transfer import ExperimentResult
 from cfdistill.world import WorldConfig, generate_world
+
+from conftest import write_wav
 
 
 class TestFloatTable:
@@ -310,7 +311,7 @@ def _checkpoint(path, version):
 
 
 def _results(path, version):
-    rows = [("t", ExperimentResult("base", 8, s, 0, "accuracy", 0.5, version, 1.0))
+    rows = [("t", ExperimentResult("base", 8, s, 0, 0.5, version, 1.0))
             for s in range(20)]
     write_results_csv(path, rows)
 

@@ -25,7 +25,7 @@ from cfdistill.nn.layers import (
     ReLU,
     SEBlock,
 )
-from cfdistill.nn.network import build_preset
+from conftest import build_preset
 
 # (N, H, W, C_in, C_out)
 DESK_CONV_SHAPES = [

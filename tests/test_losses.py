@@ -7,13 +7,19 @@ from cfdistill.nn.losses import (
     cosine_proximity_loss,
     mse_loss,
     softmax_cross_entropy,
-    softmax_probabilities,
 )
 from cfdistill.transfer import distillation_loss
 
 from gradcheck import check_loss_gradient
 
 N_GRAD_SEEDS = 10
+
+
+def softmax_probabilities(logits):
+    """Softmax of one logit vector (stabilized)."""
+    z = np.asarray(logits, dtype=np.float64)
+    probs = np.exp(z - z.max())
+    return probs / probs.sum()
 
 
 class TestMseLoss:

@@ -11,7 +11,6 @@ from cfdistill.nn.network import (
     EVAL_BLOCK,
     LayerSpec,
     build_network,
-    build_preset,
     cf_estimator_table1,
     double_conv,
     load_checkpoint,
@@ -19,6 +18,7 @@ from cfdistill.nn.network import (
 )
 from cfdistill.transfer import predict_network
 
+from conftest import build_preset
 from gradcheck import numeric_grad
 
 
@@ -48,6 +48,7 @@ ARCH_DAMAGE = {
                        "checkpoint 'arch' record has no 'input_shape'"),
     "unknown_dtype": (lambda arch: arch.__setitem__("dtype", "banana"),
                       "checkpoint dtype must be 'float32' or 'float64', got 'banana'"),
+    "no_dtype": (lambda arch: arch.pop("dtype"), "checkpoint 'arch' record has no 'dtype'"),
 }
 
 

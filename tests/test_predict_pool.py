@@ -12,7 +12,8 @@ import pytest
 
 from cfdistill import pool, transfer
 from cfdistill.nn.layers import BatchNorm
-from cfdistill.nn.network import batch_bounds, build_preset
+from cfdistill.nn.network import batch_bounds
+from conftest import build_preset
 from test_pool import child_env
 
 BATCH = 8

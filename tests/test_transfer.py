@@ -342,7 +342,6 @@ class TestRegressionTask:
             task, data, TINY_SPECS, TINY_SHAPE, 2,
             RegimeConfig(regime="base", epochs=4, batch_size=8, seed=1),
         )
-        assert result.metric_name == "r_squared"
         assert 0.0 <= result.metric_value <= 1.0
 
 

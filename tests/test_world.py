@@ -9,8 +9,8 @@ from cfdistill.world import (
     band_energies,
     generate_world,
     item_waveform,
-    mean_canonical_correlation,
 )
+from reference_world import mean_canonical_correlation
 
 SMALL = WorldConfig(n_users=40, n_items=48, latent_dim=4, seed=5)
 
