@@ -99,11 +99,11 @@ class Interactions:
 def _first_appearance(codes, ids):
     """``codes`` renumbered 0, 1, ... in order of first appearance, and the ids
     of the renumbered codes in that order (ids no entry uses are dropped)."""
-    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse], [ids[c] for c in used[order].tolist()]
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first, kind="stable")]
+    rank = np.empty(len(ids), dtype=np.intp)  # new code of each old code
+    rank[used] = np.arange(used.size)
+    return rank[codes], [ids[c] for c in used.tolist()]
 
 
 def build_interaction_matrix(logs: Interactions) -> UserItemMatrix:
@@ -176,7 +176,6 @@ class CfEmbedding:
     item_vectors: np.ndarray
     user_vectors: Optional[np.ndarray]
     item_ids: list
-    user_ids: Optional[list] = None
     item_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -327,7 +326,6 @@ def als_fit(
         item_vectors=items,
         user_vectors=users,
         item_ids=matrix.item_ids,
-        user_ids=matrix.user_ids,
     )
 
 

@@ -361,8 +361,11 @@ def read_audio_dir(audio_dir, sample_rate):
 
 
 def fit_embedding(logs, config: AlsConfig, path):
-    """Factorize listening logs, save the item table; returns (matrix, embedding)."""
+    """Factorize listening logs, save the item table; returns (matrix, embedding).
+    The caller should hold no other reference to ``logs``: they are dropped
+    once the matrix is built, so the fit runs with one copy of the logs."""
     matrix = build_interaction_matrix(logs)
+    del logs
     embedding = als_fit(matrix, config)
     save_embedding(embedding, path, meta={"alpha": config.alpha, "reg_lambda": config.reg_lambda})
     return matrix, embedding
@@ -433,25 +436,24 @@ def _read_items(settings, out_dir):
     return list(labels), np.asarray(list(labels.values())), n_est
 
 
-def _read_grids(out_dir, item_ids, input_shape):
-    """The items' mel grids from ``features/``, stacked as network inputs."""
-    grids = np.stack([
-        fileio.load_float_table(out_dir / "features" / f"{i}.ftab")[1][:, :, None]
-        for i in item_ids
-    ])
-    if grids.shape[1:3] != tuple(input_shape[:2]):
-        raise ValueError(
-            f"mel grids {grids.shape[1:3]} do not match architecture input "
-            f"{tuple(input_shape[:2])}"
-        )
+def _read_grids(out_dir, item_ids, input_shape, dtype):
+    """The items' mel grids from ``features/`` as network inputs of ``dtype``
+    (the manifest's), read one at a time into one array."""
+    shape = tuple(input_shape[:2])
+    grids = np.empty((len(item_ids), *shape, 1), dtype=dtype)
+    for k, item_id in enumerate(item_ids):
+        grid = fileio.load_float_table(out_dir / "features" / f"{item_id}.ftab")[1]
+        if grid.shape != shape:
+            raise ValueError(f"mel grids {grid.shape} do not match architecture input {shape}")
+        grids[k, :, :, 0] = grid
     return grids
 
 
 def _stage_estimator(settings, out_dir):
     item_ids, _, n_est = _read_items(settings, out_dir)
     est_ids = item_ids[:n_est]
-    features = _read_grids(out_dir, est_ids, settings["input_shape"])
     config = settings["train"]
+    features = _read_grids(out_dir, est_ids, settings["input_shape"], config.dtype)
     embedding = load_embedding(out_dir / EMBEDDING)
     targets = np.stack([item_vector(embedding, i) for i in est_ids], axis=0)
     if settings["normalize_targets"]:
@@ -498,7 +500,7 @@ def _stage_tasks(settings, out_dir, deterministic):
     estimator = load_checkpoint(ckpt, expect_specs=specs, expect_input_shape=input_shape)
     item_ids, labels, n_est = _read_items(settings, out_dir)
     task_ids, labels = item_ids[n_est:], labels[n_est:]
-    features = _read_grids(out_dir, task_ids, input_shape)
+    features = _read_grids(out_dir, task_ids, input_shape, settings["train"].dtype)
     # The estimator's outputs over the task items, computed once for every fix and kd cell.
     uses_teacher = any(r.regime in ("fix", "kd") for r in settings["regimes"])
     teacher = predict_network(estimator, features) if uses_teacher else None

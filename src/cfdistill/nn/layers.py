@@ -385,7 +385,6 @@ class FullyConnected(Layer):
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         super().__init__()
         self.in_dim = in_dim
-        self.out_dim = out_dim
         self.params = {
             "w": _he_normal(rng, (in_dim, out_dim), in_dim, dtype),
             "b": np.zeros(out_dim, dtype=dtype),

@@ -1,19 +1,27 @@
-"""One process-wide pool of worker processes, each pinned to one BLAS thread.
+"""One process-wide pool of worker processes, each pinned to one BLAS thread,
+and one malloc policy for this process and every worker.
 
 The pool starts on first use with the ``spawn`` start method and one worker
 per CPU this process may run on (``os.sched_getaffinity``).  Every worker
 is started with ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1`` in its
 environment (a BLAS library reads them once, when it loads), so work done
 in the pool rounds the same way whatever the parent's thread settings.
-Workers also start with ``MALLOC_MMAP_THRESHOLD_`` at 32 MiB and
-``MALLOC_TRIM_THRESHOLD_`` at 256 MiB, which glibc reads at start-up and
-other C libraries ignore.  With glibc's defaults a worker gives each freed
-1-2 MB activation back to the system and faults it in again page by page:
-13,370 minor faults for a float32 eval forward of 40 desk items, against
-none once the freed pages stay in the heap.  The calling process keeps
-glibc's defaults: on its heap, large arrays raised its peak memory.
 The pool shuts down at interpreter exit, and a worker whose parent dies
 without shutting it down (SIGKILL) exits on its own.
+
+Importing this module sets glibc's malloc thresholds (``mallopt``; a C
+library without it is left alone).  ``als``, ``transfer`` and ``experiment``
+import it, and a worker imports it to run ``_init_worker``, so the calling
+process and the workers share one policy: blocks up to ``MMAP_THRESHOLD``
+(6 MiB, above every desk-shape activation: 2.3 MB in float32, 4.6 MB in
+float64) come from the heap, and freed heap is kept up to
+``TRIM_THRESHOLD``, so a train step or an eval forward reuses the pages of
+the activations it freed instead of faulting them in again.  Larger blocks
+(the world's probability matrix, the interaction columns and their
+temporaries at ingest scale) are mapped, so freeing them gives the memory
+back.  glibc's defaults move the mmap threshold up to 32 MiB as large blocks
+are freed, after which such arrays stay on the heap and a second ingest job
+peaks higher than the first.
 
 Large arrays go to and from the workers through shared memory
 (:class:`SharedArrays`), not through pickles: the executor pickles tasks
@@ -25,6 +33,7 @@ run in a worker not to fan out again.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import multiprocessing
 import os
 import threading
@@ -36,23 +45,31 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-PINNED_ENV = {
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    # glibc malloc: serve blocks under 32 MiB from the heap and keep up to
-    # 256 MiB of freed heap, so a worker reuses the pages of its freed
-    # activations.  Either one alone turns off glibc's dynamic mmap
-    # threshold, and that forward of 40 items then took 9,180 (mmap only)
-    # or 22,450 (trim only) faults.
-    "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
-    "MALLOC_TRIM_THRESHOLD_": str(256 << 20),
-}
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+# glibc malloc thresholds (see above); setting either one turns off glibc's
+# dynamic mmap threshold.
+MMAP_THRESHOLD = 6 << 20
+TRIM_THRESHOLD = 256 << 20
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
 WATCH_INTERVAL_S = 0.5
 ALIGN = 64
 
 _executor = None
 _lock = threading.Lock()
 _is_worker = False
+
+
+def _set_malloc_policy():
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+# At import, not at the pool's first use: the world and the ALS columns are
+# allocated before ALS first uses the pool.
+_set_malloc_policy()
 
 
 def worker_count() -> int:

@@ -7,6 +7,10 @@ the ridge added as ``reg * eye``.  Both were the library's code before the
 columnar builder and the direct ``potrf``/``potrs`` calls replaced them; the
 tests require the two to agree bit for bit.
 
+``first_appearance`` is the renumbering the columnar builder used before it
+coded ids through a rank table (``np.unique`` with ``return_inverse``); the
+tests require the same codes, of the same dtype, and the same ids.
+
 ``weighted_loss`` is the objective the solver minimizes, computed densely
 over every (user, item) entry; the tests check that each sweep lowers it.
 """
@@ -54,6 +58,16 @@ def build_interaction_matrix(logs: Sequence[tuple]) -> UserItemMatrix:
         shape=(len(user_ids), len(item_ids)),
     ).tocsr()
     return UserItemMatrix(counts, user_ids, item_ids)
+
+
+def first_appearance(codes, ids):
+    """``codes`` renumbered 0, 1, ... in order of first appearance, and the ids
+    of the renumbered codes in that order (ids no entry uses are dropped)."""
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], [ids[c] for c in used[order].tolist()]
 
 
 def _row_reg(config: AlsConfig, nnz_row: int) -> float:

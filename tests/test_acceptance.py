@@ -67,7 +67,7 @@ def test_criterion_1_als_correctness():
         losses = [weighted_loss(matrix, init, config)]
 
         def on_sweep(sweep, users, items):
-            emb = CfEmbedding(items, users, matrix.item_ids, matrix.user_ids)
+            emb = CfEmbedding(items, users, matrix.item_ids)
             losses.append(weighted_loss(matrix, emb, config))
 
         als_fit(matrix, config, on_sweep=on_sweep)

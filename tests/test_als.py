@@ -203,7 +203,6 @@ class TestWeightedLoss:
             item_vectors=np.zeros((6, 3)),
             user_vectors=np.zeros((5, 3)),
             item_ids=m.item_ids,
-            user_ids=m.user_ids,
         )
         # with x = y = 0, each observed entry contributes c_ui, others 0
         expected = float(np.sum(1.0 + config.alpha * m.counts.toarray()[m.counts.toarray() > 0]))
@@ -217,7 +216,6 @@ class TestWeightedLoss:
             item_vectors=np.eye(2),
             user_vectors=np.eye(2),
             item_ids=m.item_ids,
-            user_ids=m.user_ids,
         )
         config = AlsConfig(n_factors=2, reg_lambda=0.25, alpha=3.0, scale_reg_by_count=False)
         reg_term = config.reg_lambda * (2.0 + 2.0)  # ||X||_F^2 + ||Y||_F^2
@@ -231,7 +229,6 @@ class TestWeightedLoss:
             item_vectors=rng.normal(size=(5, 3)),
             user_vectors=rng.normal(size=(5, 3)),
             item_ids=m.item_ids,
-            user_ids=m.user_ids,
         )
         assert weighted_loss(m, emb, config) == pytest.approx(
             dense_loss_oracle(m, emb, config), rel=1e-12
@@ -269,7 +266,7 @@ class TestAlsFit:
         losses = []
 
         def on_sweep(sweep, users, items):
-            emb = CfEmbedding(items, users, m.item_ids, m.user_ids)
+            emb = CfEmbedding(items, users, m.item_ids)
             losses.append(weighted_loss(m, emb, config))
 
         als_fit(m, config, on_sweep=on_sweep)

@@ -24,6 +24,7 @@ import reference_als as ref
 from cfdistill.als import (
     AlsConfig,
     UserItemMatrix,
+    _first_appearance,
     als_fit,
     als_solve_side,
     build_interaction_matrix,
@@ -117,6 +118,32 @@ class TestBuilderMatchesReference:
         text = "".join(f"{u}\t{i}\t{c}\n" for u, i, c in records)
         assert (tmp_path / "logs.tsv").read_text(encoding="utf-8") == text
         assert_same_matrix(build_interaction_matrix(parse_log_file(tmp_path / "logs.tsv")), got)
+
+
+class TestFirstAppearanceMatchesReference:
+    @staticmethod
+    def assert_same(codes, ids):
+        got_codes, got_ids = _first_appearance(codes, ids)
+        want_codes, want_ids = ref.first_appearance(codes, ids)
+        assert got_codes.dtype == want_codes.dtype
+        assert np.array_equal(got_codes, want_codes)
+        assert got_ids == want_ids
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_codes(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_same(rng.integers(0, 40, size=500), [f"id{i}" for i in range(40)])
+
+    def test_unused_ids_are_dropped(self):
+        rng = np.random.default_rng(3)
+        codes = rng.choice([2, 5, 7, 11, 13], size=60)
+        self.assert_same(codes, [f"id{i}" for i in range(20)])
+
+    def test_single_id(self):
+        self.assert_same(np.zeros(4, dtype=np.int64), ["only"])
+
+    def test_codes_already_in_order(self):
+        self.assert_same(np.repeat(np.arange(6), 3), list("abcdef"))
 
 
 class TestSolveMatchesReference:

@@ -50,7 +50,7 @@ def _frozen(layer):
         twin = ref.GlobalAvgPool()
     else:
         assert isinstance(layer, FullyConnected)
-        twin = ref.FullyConnected(layer.in_dim, layer.out_dim, rng, DTYPE)
+        twin = ref.FullyConnected(*layer.params["w"].shape, rng, DTYPE)
     twin.params = {k: v.copy() for k, v in layer.params.items()}
     return twin
 

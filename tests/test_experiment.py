@@ -30,7 +30,7 @@ from cfdistill.experiment import (
 )
 from cfdistill.evaluation import r_squared
 from cfdistill.features import FeatureConfig
-from cfdistill.fileio import load_float_table, write_raw_float32
+from cfdistill.fileio import load_float_table, save_float_table, write_raw_float32
 from cfdistill.nn.network import cf_estimator_desk, load_checkpoint
 from cfdistill.transfer import ExperimentResult, TaskSpec, TrainConfig, predict_network
 from cfdistill.world import WorldConfig
@@ -478,6 +478,40 @@ class TestStageList:
 
     def test_train_task_reads_the_estimator_from_its_checkpoint(self):
         assert MANIFEST_COMMANDS["train-task"][0] == ("tasks",)
+
+
+class TestReadGrids:
+    """The estimator and tasks stages read the mel grids straight into the
+    manifest's dtype."""
+
+    @pytest.fixture
+    def grid_dir(self, tmp_path, tiny_manifest):
+        run_experiment(tiny_manifest, tmp_path, stages=("world", "features"))
+        lines = (tmp_path / "world" / "labels.csv").read_text(encoding="utf-8").splitlines()
+        return tmp_path, [line.split(",")[0] for line in lines[1:]]
+
+    def test_grids_are_the_float64_tables_cast_to_the_manifest_dtype(self, grid_dir,
+                                                                    tiny_manifest):
+        out, ids = grid_dir
+        settings = validate_manifest(tiny_manifest)
+        tables = np.stack([load_float_table(out / "features" / f"{i}.ftab")[1] for i in ids])
+        for dtype in (settings["train"].dtype, "float64"):
+            got = experiment._read_grids(out, ids, settings["input_shape"], dtype)
+            want = tables[..., None].astype(dtype)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_grid_of_another_shape_is_refused_naming_both_shapes(self, grid_dir,
+                                                                    tiny_manifest):
+        out, ids = grid_dir
+        settings = validate_manifest(tiny_manifest)
+        path = out / "features" / f"{ids[3]}.ftab"
+        names, grid, meta = load_float_table(path)
+        save_float_table(path, names, grid[:, :-1], meta=meta)
+        want = tuple(settings["input_shape"][:2])
+        message = f"mel grids {grid[:, :-1].shape} do not match architecture input {want}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            experiment._read_grids(out, ids, settings["input_shape"], "float32")
 
 
 class TestManifestValidation:

@@ -1,5 +1,7 @@
 """The worker pool: workers run with one BLAS thread, and none outlives the
-process that started it, whether that process exits or is killed.
+process that started it, whether that process exits or is killed; under
+glibc, the calling process and the workers reuse freed activation-sized
+blocks without page faults and give large freed arrays back.
 
 Processes are found through ``/proc``; a pool worker is a child whose
 command line carries ``--multiprocessing-fork``.
@@ -7,6 +9,8 @@ command line carries ``--multiprocessing-fork``.
 
 import json
 import os
+import platform
+import resource
 import signal
 import subprocess
 import sys
@@ -71,6 +75,7 @@ def wait_until(predicate, timeout):
 
 class TestWorkers:
     def test_workers_pinned_and_parent_environment_unchanged(self):
+        assert set(pool.PINNED_ENV) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
         before = {name: os.environ.get(name) for name in pool.PINNED_ENV}
         got = pool.starmap(os.getenv, [(name,) for name in pool.PINNED_ENV])
         assert got == list(pool.PINNED_ENV.values())
@@ -87,6 +92,48 @@ class TestWorkers:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         with pytest.raises(RuntimeError, match="OPENBLAS_NUM_THREADS=1"):
             pool._init_worker(os.getpid())
+
+
+def _faults_after_first_cycle(cycles=5, arrays=4, nbytes=2 << 20):
+    """Minor page faults of this thread over cycles 2 to ``cycles``, where a
+    cycle allocates and writes ``arrays`` arrays of ``nbytes`` at once (as a
+    train step keeps its activations until backward) and then frees them."""
+    def cycle():
+        held = [np.ones(nbytes // 8) for _ in range(arrays)]
+        del held
+
+    cycle()
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(cycles - 1):
+        cycle()
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc policy is glibc's")
+class TestMallocPolicy:
+    def test_freed_blocks_are_reused_without_faults_in_this_process(self):
+        assert _faults_after_first_cycle() == 0
+
+    def test_freed_blocks_are_reused_without_faults_in_a_worker(self):
+        assert pool.starmap(_faults_after_first_cycle, [()]) == [0]
+
+    def test_a_freed_large_array_goes_back_to_the_system(self):
+        # In a fresh process, whose heap holds no free block of 16 MiB to serve
+        # it from.  Twice: glibc's default raises its mmap threshold to the
+        # size of a freed mapped block, so its second array would stay on the heap.
+        script = (
+            "import numpy as np\nfrom cfdistill import pool\n"
+            "def rss_mb():\n"
+            "    with open('/proc/self/status', encoding='ascii') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmRSS:')) / 1024\n"
+            "for _ in range(2):\n"
+            "    big = np.ones(16 << 17)  # 16 MiB, above the mmap threshold\n"
+            "    held = rss_mb()\n    del big\n    print(held - rss_mb())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(), check=True,
+                              capture_output=True, text=True, timeout=60)
+        drops = [float(line) for line in proc.stdout.split()]
+        assert len(drops) == 2 and min(drops) > 15, drops
 
 
 def _sleep_then(seconds, value):
