@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .als import AlsConfig, parse_log_file
+from .als import AlsConfig
 from .experiment import (
     ALL_STAGES,
     StageError,
@@ -73,7 +73,7 @@ def _cmd_als_fit(args):
     if args.seed is not None:
         overrides["seed"] = args.seed
     config = parse_section(overrides, "als", AlsConfig)
-    matrix, _ = fit_embedding(parse_log_file(args.logs), config, args.out)
+    matrix, _ = fit_embedding(args.logs, config, args.out)
     print(
         f"factorized {matrix.n_users}x{matrix.n_items} matrix "
         f"({matrix.nnz} non-zeros) into {config.n_factors} factors -> {args.out}"

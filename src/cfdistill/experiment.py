@@ -7,13 +7,14 @@ list, seeds, and folds.  ``run_experiment`` executes the stages
     world -> als -> features -> estimator -> tasks
 
 persisting every artifact under the output directory.  Stages hand over
-through that directory: estimator and tasks read only the manifest's
-settings and files written there, so ``tasks`` runs alone after
-``estimator``.  Only world hands anything over in memory, within one call:
-the interactions to als, and the item ids and lazy waveforms to features.
-A stage failure aborts with the stage name; artifacts written so far stay
-on disk for diagnosis.  Identical manifests reproduce identical result
-files in deterministic mode.
+only through that directory: each reads the manifest's settings and files
+written there (or the dataset files a ``datasets`` manifest names), so any
+stage runs alone once the ones before it have run.  The tasks stage is a
+list of cells, each one ``run_cell`` that reads its inputs from the
+directory and writes its curve and checkpoint there.  A stage failure
+aborts with the stage name; artifacts written so far stay on disk for
+diagnosis.  Identical manifests reproduce identical result files in
+deterministic mode.
 """
 
 from __future__ import annotations
@@ -40,25 +41,15 @@ from .als import (
 from .evaluation import paired_improvement_test, stratified_kfold, stratified_split
 from .features import FeatureConfig, Waveform, Waveforms, melspectrogram
 from .nn.network import PRESETS, build_network, load_checkpoint, save_checkpoint
-from .transfer import (
-    RegimeConfig,
-    TaskData,
-    TaskSpec,
-    TrainConfig,
-    predict_network,
-    train_cf_estimator,
-    train_task,
-)
-from .world import World, WorldConfig, generate_world
+from .transfer import RegimeConfig, TaskData, TaskSpec, TrainConfig, train_cf_estimator, train_task
+from .world import World, WorldConfig, generate_world, item_waveforms
 
 SCHEMA_VERSION = 1
 ALL_STAGES = ("world", "als", "features", "estimator", "tasks")
-# The stage whose in-memory handover a stage takes; it must run before it in
-# the same call.  Every other input is a file under the run directory.
-STAGE_INPUTS = {"als": "world", "features": "world"}
 EMBEDDING = Path("embeddings") / "item_embeddings.ftab"
 ESTIMATOR = Path("checkpoints") / "cf_estimator.npz"
 LABELS = Path("world") / "labels.csv"
+FOLDS = Path("folds.json")
 # results.csv columns and the type each is read back as
 RESULT_COLUMNS = {"task": str, "regime": str, "channels": int, "seed": int, "fold": int,
                   "metric": float, "epochs": int, "seconds": float}
@@ -319,53 +310,57 @@ def _load_labels_csv(path, task, item_ids=None):
 
 
 def _stage_world(settings, out_dir):
-    """Write ``world/``; returns the in-memory handover: ``{"logs": interactions,
-    "audio": (item ids, lazy waveforms)}``.  Once the labels are written it
-    builds every seed's task splits, so a split that would be empty fails
-    here and not after the estimator has trained."""
+    """Write ``world/``.  In ``datasets`` mode the logs are parsed and every
+    audio file is read here, so a bad input fails in this stage; only the
+    labels are written.  Once the labels are written it builds every seed's
+    task splits, so a split that would be empty fails here and not after the
+    estimator has trained."""
     if settings["world"] is not None:
-        world = generate_world(settings["world"])
-        write_world(world, out_dir / "world", audio=False)  # see _stage_features
-        handover = {"logs": world.interactions, "audio": (world.item_ids, world.waveforms)}
+        write_world(generate_world(settings["world"]), out_dir / "world", audio=False)
     else:
         paths, task = settings["datasets"], settings["task"]
         for path in paths.values():
             if not Path(path).exists():
                 raise ValueError(f"dataset path does not exist: {path}")
-        logs = parse_log_file(paths["logs"])
-        item_ids, waveforms = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
+        parse_log_file(paths["logs"])
+        item_ids, _ = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
         labels = _load_labels_csv(paths["labels"], task, item_ids)
         _write_labels(out_dir / LABELS, item_ids, labels.values(), task.kind)
-        handover = {"logs": logs, "audio": (item_ids, waveforms)}
     _, labels, n_est = _read_items(settings, out_dir)
     for seed in settings["seeds"]:
         for train_idx, val_idx, test_idx, _ in _make_splits(settings, labels[n_est:], seed):
             TaskData(None, None, train_idx, val_idx, test_idx)  # raises on an empty split
-    return handover
 
 
 def _read_waveform(path, sample_rate):
     return Waveform(*fileio.read_audio(path, expect_rate=sample_rate))
 
 
-def read_audio_dir(audio_dir, sample_rate):
-    """Item ids (file stems) and waveforms of the audio files in a directory.
-    Every file is read and checked here, one at a time, so a bad file fails
-    now; none is kept.  The waveforms hold absolute paths, so a pool worker,
-    whose working directory was fixed when it was spawned, finds the files."""
+def audio_dir_waveforms(audio_dir, sample_rate):
+    """Item ids (file stems) and lazy waveforms of the audio files in a
+    directory; no file is read.  The waveforms hold absolute paths, so a pool
+    worker, whose working directory was fixed when it was spawned, finds the
+    files."""
     files = fileio.list_audio_files(audio_dir)
-    audio = Waveforms(_read_waveform, [(f.absolute(), sample_rate) for f in files])
+    return [f.stem for f in files], Waveforms(
+        _read_waveform, [(f.absolute(), sample_rate) for f in files]
+    )
+
+
+def read_audio_dir(audio_dir, sample_rate):
+    """``audio_dir_waveforms``, with every file read and checked here, one at
+    a time, so a bad file fails now; none is kept."""
+    item_ids, audio = audio_dir_waveforms(audio_dir, sample_rate)
     for i in range(len(audio)):
         audio[i]  # read, checked and dropped
-    return [f.stem for f in files], audio
+    return item_ids, audio
 
 
-def fit_embedding(logs, config: AlsConfig, path):
-    """Factorize listening logs, save the item table; returns (matrix, embedding).
-    The caller should hold no other reference to ``logs``: they are dropped
-    once the matrix is built, so the fit runs with one copy of the logs."""
-    matrix = build_interaction_matrix(logs)
-    del logs
+def fit_embedding(log_path, config: AlsConfig, path):
+    """Factorize a listening log file, save the item table; returns (matrix,
+    embedding).  The parsed columns are dropped once the matrix is built, so
+    the fit runs with one copy of the logs."""
+    matrix = build_interaction_matrix(parse_log_file(log_path))
     embedding = als_fit(matrix, config)
     save_embedding(embedding, path, meta={"alpha": config.alpha, "reg_lambda": config.reg_lambda})
     return matrix, embedding
@@ -416,11 +411,22 @@ def _write_block(item_ids, waveforms, audio_dir, config, features_dir):
     return shapes
 
 
-def _stage_features(settings, out_dir, item_ids, waveforms):
+def _item_waveforms(settings, out_dir):
+    """The ids and lazy waveforms of the items the features stage reads: a
+    generated world's, rebuilt from ``world/latents.ftab`` and the manifest's
+    ``world`` section, or the files in ``datasets.audio_dir``."""
+    if settings["world"] is None:
+        return audio_dir_waveforms(settings["datasets"]["audio_dir"],
+                                   settings["features"].sample_rate)
+    item_ids, latents, _ = fileio.load_float_table(out_dir / "world" / "latents.ftab")
+    return item_ids, item_waveforms(settings["world"], latents)
+
+
+def _stage_features(settings, out_dir):
     # A generated world's audio is written here, in one pass with the grids.
     audio_dir = out_dir / "world" / "audio" if settings["world"] is not None else None
     shapes = set(write_items(
-        item_ids, waveforms, audio_dir, settings["features"], out_dir / "features"
+        *_item_waveforms(settings, out_dir), audio_dir, settings["features"], out_dir / "features"
     ))
     if len(shapes) != 1:
         raise ValueError(f"inconsistent mel grid shapes: {sorted(shapes)}")
@@ -493,72 +499,62 @@ def _make_splits(settings, labels, seed):
 
 
 def _stage_tasks(settings, out_dir, deterministic):
-    task, specs, input_shape = settings["task"], settings["specs"], settings["input_shape"]
+    """Write ``folds.json``, run every cell (``run_cell``) in manifest order,
+    then write ``results.csv``; returns the cells' results."""
     ckpt = out_dir / ESTIMATOR
     if not ckpt.exists():
         raise ValueError(f"{ckpt}: estimator checkpoint missing; run train-estimator first")
-    estimator = load_checkpoint(ckpt, expect_specs=specs, expect_input_shape=input_shape)
+    # A damaged or mismatched checkpoint fails here, before any cell runs.
+    load_checkpoint(ckpt, expect_specs=settings["specs"],
+                    expect_input_shape=settings["input_shape"])
     item_ids, labels, n_est = _read_items(settings, out_dir)
-    task_ids, labels = item_ids[n_est:], labels[n_est:]
-    features = _read_grids(out_dir, task_ids, input_shape, settings["train"].dtype)
-    # The estimator's outputs over the task items, computed once for every fix and kd cell.
-    uses_teacher = any(r.regime in ("fix", "kd") for r in settings["regimes"])
-    teacher = predict_network(estimator, features) if uses_teacher else None
-    task_name, n_channels = settings["task_name"], settings["n_channels"]
-
-    results = []
-    fold_records = []
-    for seed in settings["seeds"]:
-        for train_idx, val_idx, test_idx, fold in _make_splits(settings, labels, seed):
-            fold_records.append(
-                {
-                    "seed": int(seed),
-                    "fold": int(fold),
-                    "train": train_idx.tolist(),
-                    "val": val_idx.tolist(),
-                    "test": test_idx.tolist(),
-                }
-            )
-            data = TaskData(
-                features=features,
-                targets=labels,
-                train_idx=train_idx,
-                val_idx=val_idx,
-                test_idx=test_idx,
-            )
-            for regime in settings["regimes"]:
-                regime = dataclasses.replace(regime, seed=seed)
-                start = time.perf_counter()
-                model, result = train_task(
-                    task,
-                    data,
-                    specs,
-                    input_shape,
-                    n_channels,
-                    regime,
-                    cf_estimator=estimator,
-                    fold=fold,
-                    teacher=teacher,
-                )
-                result.seconds = 0.0 if deterministic else time.perf_counter() - start
-                cell = f"{task_name}_{regime.regime}_F{n_channels}_s{seed}_f{fold}"
-                _write_csv(
-                    out_dir / "curves" / f"{cell}.csv",
-                    "epoch,train_total,train_task,train_kd,val_task",
-                    (row.values() for row in result.curve),
-                )
-                save_checkpoint(
-                    model,
-                    out_dir / "checkpoints" / f"task_{cell}.npz",
-                    extra={"regime": regime.regime, "cell": cell},
-                )
-                results.append((task_name, result))
-
-    with fileio.atomic_write(out_dir / "folds.json", "w") as fh:
-        json.dump({"task_items": task_ids, "cells": fold_records}, fh, indent=2)
+    cells = [
+        {"seed": int(seed), "fold": int(fold), "train": train_idx.tolist(),
+         "val": val_idx.tolist(), "test": test_idx.tolist()}
+        for seed in settings["seeds"]
+        for train_idx, val_idx, test_idx, fold in _make_splits(settings, labels[n_est:], seed)
+    ]
+    with fileio.atomic_write(out_dir / FOLDS, "w") as fh:
+        json.dump({"task_items": item_ids[n_est:], "cells": cells}, fh, indent=2)
         fh.write("\n")
-    write_results_csv(out_dir / "results.csv", results)
-    return [r for _, r in results]
+    results = []
+    for cell in cells:
+        for regime in settings["regimes"]:
+            result = run_cell(settings, out_dir, cell["seed"], cell["fold"], regime)
+            if deterministic:
+                result.seconds = 0.0
+            results.append(result)
+    write_results_csv(out_dir / "results.csv", [(settings["task_name"], r) for r in results])
+    return results
+
+
+def run_cell(settings, out_dir, seed, fold, regime):
+    """Train one task cell, reading only the run directory: the labels and
+    the task items' grids, the (seed, fold) split in ``folds.json`` and,
+    unless ``regime`` is base, the estimator checkpoint.  Writes the cell's
+    curve and checkpoint; returns its result, timed from the start of
+    training."""
+    specs, input_shape = settings["specs"], settings["input_shape"]
+    n_channels = settings["n_channels"]
+    item_ids, labels, n_est = _read_items(settings, out_dir)
+    split = next(c for c in fileio.read_json(out_dir / FOLDS)["cells"]
+                 if (c["seed"], c["fold"]) == (seed, fold))
+    data = TaskData(_read_grids(out_dir, item_ids[n_est:], input_shape, settings["train"].dtype),
+                    labels[n_est:], split["train"], split["val"], split["test"])
+    estimator = None if regime.regime == "base" else load_checkpoint(
+        out_dir / ESTIMATOR, expect_specs=specs, expect_input_shape=input_shape
+    )
+    regime = dataclasses.replace(regime, seed=seed)
+    start = time.perf_counter()
+    model, result = train_task(settings["task"], data, specs, input_shape, n_channels, regime,
+                               cf_estimator=estimator, fold=fold)
+    result.seconds = time.perf_counter() - start
+    cell = f"{settings['task_name']}_{regime.regime}_F{n_channels}_s{seed}_f{fold}"
+    _write_csv(out_dir / "curves" / f"{cell}.csv", "epoch,train_total,train_task,train_kd,val_task",
+               (row.values() for row in result.curve))
+    save_checkpoint(model, out_dir / "checkpoints" / f"task_{cell}.npz",
+                    extra={"regime": regime.regime, "cell": cell})
+    return result
 
 
 def _write_csv(path, header, rows):
@@ -586,15 +582,18 @@ def write_results_csv(path, results):
 def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     """Execute the pipeline; returns the ExperimentResult list.
 
-    Any stage failure raises :class:`StageError` naming the stage;
-    artifacts written before the failure remain on disk.  An unknown stage,
-    one listed without the stage whose handover it takes before it, or (for
-    a list that does not start at world) a manifest whose upstream sections
-    differ from the run directory's ``manifest.json`` is a ValueError raised
-    before anything is written.
+    Each stage reads only the manifest and files under ``out_dir`` (see the
+    module docstring), so a stage list may start at any stage.  Any stage
+    failure raises :class:`StageError` naming the stage; artifacts written
+    before the failure remain on disk.  An unknown stage or (for a list that
+    does not start at world) a manifest whose upstream sections differ from
+    the run directory's ``manifest.json`` is a ValueError raised before
+    anything is written.
     """
     stages = tuple(stages)
-    check_stages(stages)
+    for name in stages:
+        if name not in ALL_STAGES:
+            raise ValueError(f"unknown stage {name!r}; expected one of {ALL_STAGES}")
     settings = validate_manifest(manifest)
     out_dir = Path(out_dir)
     if stages[0] != "world":
@@ -603,15 +602,17 @@ def run_experiment(manifest, out_dir, deterministic=False, stages=ALL_STAGES):
     with fileio.atomic_write(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    handover, results = {}, []  # world's in-memory outputs, each dropped once taken
+    results = []
     for name in stages:
         try:
             if name == "world":
-                handover = _stage_world(settings, out_dir)
+                _stage_world(settings, out_dir)
             elif name == "als":
-                fit_embedding(handover.pop("logs"), settings["als"], out_dir / EMBEDDING)
+                logs = (out_dir / "world" / "logs.tsv" if settings["world"] is not None
+                        else settings["datasets"]["logs"])
+                fit_embedding(logs, settings["als"], out_dir / EMBEDDING)
             elif name == "features":
-                _stage_features(settings, out_dir, *handover.pop("audio"))
+                _stage_features(settings, out_dir)
             elif name == "estimator":
                 _stage_estimator(settings, out_dir)
             else:
@@ -644,17 +645,6 @@ def check_upstream(manifest, run_manifest):
                 f"manifest key '{keys[0]}' differs from {run_manifest}, which the earlier "
                 "stages ran with; use that manifest or rerun them"
             )
-
-
-def check_stages(stages):
-    """Raise ValueError naming the first stage that is unknown or that comes
-    without the stage whose handover it takes (:data:`STAGE_INPUTS`) before it."""
-    for i, name in enumerate(stages):
-        if name not in ALL_STAGES:
-            raise ValueError(f"unknown stage {name!r}; expected one of {ALL_STAGES}")
-        need = STAGE_INPUTS.get(name)
-        if need and need not in stages[:i]:
-            raise ValueError(f"stage {name!r} needs stage {need!r} to run before it")
 
 
 def read_results_csv(path):

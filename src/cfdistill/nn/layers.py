@@ -33,6 +33,8 @@ from scipy.special import expit as sigmoid
 WIDE_ROWS = 256  # k in _wide divides this; 256*C values is a long inner loop
 TAP_BLOCK = 4096  # grid rows per block of _tap_sum
 MIN_TAP_ROWS = 4  # a shorter last block is merged into the one before it
+BN_MOMENTUM = 0.9  # weight of the old running statistics in each train-mode update
+BN_EPS = 1e-5  # added to the variance before the square root
 
 
 class Layer:
@@ -205,11 +207,9 @@ class BatchNorm(Layer):
     (rows, C) view.  A train cache holds the normalized input and 1/std.
     """
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5, dtype=np.float64):
+    def __init__(self, channels, dtype=np.float64):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.params = {
             "gamma": np.ones(channels, dtype=dtype),
             "beta": np.zeros(channels, dtype=dtype),
@@ -235,9 +235,9 @@ class BatchNorm(Layer):
         if train:
             x2hat = xhat.reshape(x2.shape)
             var = np.einsum("ij,ij->j", x2hat, x2hat) / len(x2)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        inv = 1.0 / np.sqrt(var + self.eps)
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         _, iw, gw, bw = _wide(x2, inv, self.params["gamma"], self.params["beta"])
         xhat *= iw
         # Eval caches nothing, so it scales x-hat in place into the output.

@@ -33,7 +33,7 @@ def mse_loss(pred, target):
     return value, (grad[0] if squeeze else grad)
 
 
-def cosine_proximity_loss(pred, target, eps=COSINE_EPS):
+def cosine_proximity_loss(pred, target):
     """Negative cosine similarity, epsilon-stabilized.
 
     Uses norms max(||v||, eps); the gradient is exact for that stabilized
@@ -46,8 +46,8 @@ def cosine_proximity_loss(pred, target, eps=COSINE_EPS):
     t_norm = np.linalg.norm(t, axis=1)
     if np.any(t_norm == 0.0):
         raise ValueError("cosine proximity target has zero norm")
-    t_norm = np.maximum(t_norm, eps)
-    p_norm = np.maximum(np.linalg.norm(p, axis=1), eps)
+    t_norm = np.maximum(t_norm, COSINE_EPS)
+    p_norm = np.maximum(np.linalg.norm(p, axis=1), COSINE_EPS)
     dot = np.sum(p * t, axis=1)
     cos = dot / (p_norm * t_norm)
     value = float(np.mean(-cos))

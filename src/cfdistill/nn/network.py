@@ -257,7 +257,7 @@ def double_conv(out_channels, se_ratio=8):
     ]
 
 
-def cf_estimator_table1(n_channels, include_fifth_block=True, se_ratio=8):
+def cf_estimator_table1(n_channels, include_fifth_block=True):
     """Full-scale estimator schedule: (96, 1280, 1) in, 40-d out.
 
     Four pooled double-conv blocks sized (4,5), (3,4), (2,4), (2,4), an
@@ -266,22 +266,22 @@ def cf_estimator_table1(n_channels, include_fifth_block=True, se_ratio=8):
     """
     specs = []
     for pool in [(4, 5), (3, 4), (2, 4), (2, 4)]:
-        specs += double_conv(n_channels, se_ratio)
+        specs += double_conv(n_channels)
         specs.append(LayerSpec("max_pool", pool=pool))
     if include_fifth_block:
-        specs += double_conv(n_channels, se_ratio)
+        specs += double_conv(n_channels)
     specs.append(LayerSpec("global_avg_pool"))
     specs.append(LayerSpec("fully_connected", width=40))
     return specs, (96, 1280, 1)
 
 
-def cf_estimator_desk(n_channels, se_ratio=8):
+def cf_estimator_desk(n_channels):
     """Reduced estimator schedule for (96, 80, 1) grids (short clips)."""
     specs = []
     for pool in [(4, 5), (3, 4), (2, 4)]:
-        specs += double_conv(n_channels, se_ratio)
+        specs += double_conv(n_channels)
         specs.append(LayerSpec("max_pool", pool=pool))
-    specs += double_conv(n_channels, se_ratio)
+    specs += double_conv(n_channels)
     specs.append(LayerSpec("global_avg_pool"))
     specs.append(LayerSpec("fully_connected", width=40))
     return specs, (96, 80, 1)

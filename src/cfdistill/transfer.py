@@ -295,15 +295,14 @@ def train_task(
     regime: RegimeConfig,
     cf_estimator: Optional[NetworkModel] = None,
     fold: int = 0,
-    teacher=None,
 ):
     """Train one task model under one regime; returns (network, result).
 
     The task network is the estimator's schedule plus a ``fully_connected``
     head as its last layer.  fix, init and kd require a trained estimator
     whose schedule matches the backbone exactly; base ignores it.  fix
-    trains its head on, and kd distils toward, ``teacher``: the estimator's
-    outputs over ``data.features``, computed here when not given.  Model
+    trains its head on, and kd distils toward, the teacher: the estimator's
+    outputs over ``data.features``, computed here once per call.  Model
     selection keeps the epoch with the least task-specific validation loss
     (the kd term never enters selection).
     """
@@ -325,8 +324,7 @@ def train_task(
     )
 
     features = np.asarray(data.features, dtype=dtype)
-    if regime.regime in ("fix", "kd") and teacher is None:
-        teacher = predict_network(cf_estimator, features)
+    teacher = predict_network(cf_estimator, features) if regime.regime in ("fix", "kd") else None
     fix = regime.regime == "fix"
     # fix keeps the estimator's backbone frozen: its penultimate features
     # are the teacher's outputs, and only the head is optimized.

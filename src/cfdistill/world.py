@@ -156,6 +156,12 @@ def _make_labels(config: WorldConfig, item_latents, rng):
     return labels.astype(np.int64), latents
 
 
+def item_waveforms(config: WorldConfig, item_latents) -> Waveforms:
+    """The items' waveforms, each synthesized by ``item_waveform`` when read."""
+    return Waveforms(functools.partial(item_waveform, config),
+                     zip(item_latents, range(len(item_latents))))
+
+
 def generate_world(config: WorldConfig) -> World:
     """Sample a complete world; deterministic for a given config.
 
@@ -198,8 +204,7 @@ def generate_world(config: WorldConfig) -> World:
     return World(
         config=config,
         interactions=Interactions(user_ids, item_ids, users, items, counts),
-        waveforms=Waveforms(functools.partial(item_waveform, config),
-                            zip(item_latents, range(config.n_items))),
+        waveforms=item_waveforms(config, item_latents),
         labels=labels,
         item_ids=item_ids,
         item_latents=item_latents,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cfdistill
-from cfdistill import cli, experiment, transfer
+from cfdistill import cli, experiment
 from cfdistill import features as features_module
 from cfdistill import world as world_module
 from cfdistill.cli import MANIFEST_COMMANDS
@@ -213,25 +213,6 @@ class TestTaskCells:
         rows = read_results_csv(out / "results.csv")
         cells = sorted((r["seed"], r["fold"], r["regime"]) for r in rows)
         assert cells == [(s, f, r) for s in (0, 1) for f in (0, 1) for r in ("base", "kd")]
-
-    def test_estimator_forward_over_task_items_runs_once(self, tmp_path, monkeypatch):
-        """fix and kd cells share one estimator forward over the task items."""
-        manifest = four_regime_manifest()
-        n_task_items = manifest["world"]["n_items"] - manifest["split"]["n_estimator_items"]
-        real_predict, states = transfer.predict_network, []
-
-        def predict(model, x, *args, **kwargs):
-            if len(x) == n_task_items:
-                states.append(model.get_state())
-            return real_predict(model, x, *args, **kwargs)
-
-        for module in (experiment, transfer):
-            monkeypatch.setattr(module, "predict_network", predict)
-        out = tmp_path / "out"
-        assert len(run_experiment(manifest, out, deterministic=True)) == 8
-        estimator = load_checkpoint(out / "checkpoints" / "cf_estimator.npz").get_state()
-        forwards = [s for s in states if all(np.array_equal(s[k], v) for k, v in estimator.items())]
-        assert len(forwards) == 1
 
 
 def child_env(**overrides):
@@ -450,8 +431,6 @@ class TestStageList:
 
     @pytest.mark.parametrize("stages, message", [
         (("world", "bogus"), "unknown stage 'bogus'"),
-        (("features", "world"), "stage 'features' needs stage 'world' to run before it"),
-        (("als",), "stage 'als' needs stage 'world' to run before it"),
     ])
     def test_bad_stage_list_raises_before_anything_runs(self, tmp_path, stages, message):
         with pytest.raises(ValueError, match=message):
@@ -459,12 +438,14 @@ class TestStageList:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage, missing", [
+        ("als", Path("world") / "logs.tsv"),
+        ("features", Path("world") / "latents.ftab"),
         ("estimator", Path("world") / "labels.csv"),
         ("tasks", Path("checkpoints") / "cf_estimator.npz"),
     ])
     def test_stage_alone_on_empty_directory_names_the_missing_file(self, tmp_path, stage, missing):
-        """estimator and tasks read only files, so each may run alone, and
-        fails on the first file it finds missing."""
+        """Every stage after world reads only files, so each may run alone,
+        and fails on the first file it finds missing."""
         out = tmp_path / "out"
         with pytest.raises(StageError) as info:
             run_experiment(make_tiny_manifest(), out, deterministic=True, stages=(stage,))
@@ -472,9 +453,24 @@ class TestStageList:
         assert str(out / missing) in str(info.value)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize("stage, output", [
+        ("als", experiment.EMBEDDING),
+        ("features", Path("features")),
+    ])
+    def test_stage_alone_after_world_writes_what_a_full_run_writes(self, tmp_path, tiny_manifest,
+                                                                  stage, output):
+        """als and features take nothing from the world stage but its files."""
+        full, alone = tmp_path / "full", tmp_path / "alone"
+        run_experiment(tiny_manifest, full, stages=("world", "als", "features"))
+        run_experiment(tiny_manifest, alone, stages=("world",))
+        run_experiment(tiny_manifest, alone, stages=(stage,))
+        assert (alone / output).exists()
+        assert file_digests(alone).items() <= file_digests(full).items()
+
     @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
     def test_every_manifest_command_stage_list_is_valid(self, command):
-        experiment.check_stages(MANIFEST_COMMANDS[command][0])
+        stages = MANIFEST_COMMANDS[command][0]
+        assert list(stages) == [name for name in experiment.ALL_STAGES if name in stages]
 
     def test_train_task_reads_the_estimator_from_its_checkpoint(self):
         assert MANIFEST_COMMANDS["train-task"][0] == ("tasks",)

@@ -197,12 +197,27 @@ def test_datasets_world_stage_checks_every_file_and_keeps_no_clip(tmp_path, monk
     monkeypatch.setattr(fileio, "read_audio", tracked)
     settings = experiment.validate_manifest(datasets_manifest(tmp_path / "world"))
     settings["features"] = FeatureConfig(sample_rate=CONFIG.sample_rate)
-    handover = experiment._stage_world(settings, tmp_path / "out")
-    ids, audio = handover["audio"]
-    assert ids == world.item_ids and isinstance(audio, Waveforms)
+    experiment._stage_world(settings, tmp_path / "out")
     assert clips.made == CONFIG.n_items and clips.peak == 1 and clips.live == 0
+    # The features stage lists the same files again and reads none of them yet.
+    ids, audio = experiment._item_waveforms(settings, tmp_path / "out")
+    assert clips.made == CONFIG.n_items
+    assert ids == world.item_ids and isinstance(audio, Waveforms)
     assert all(path.is_absolute() and rate == CONFIG.sample_rate for path, rate in audio.args)
     assert len(pickle.dumps(audio[:experiment.ITEM_BLOCK])) < 200 * experiment.ITEM_BLOCK
+
+
+def test_waveforms_rebuilt_from_the_latents_file_are_the_generated_ones(tmp_path):
+    """The features stage rebuilds a generated world's audio from
+    ``world/latents.ftab``: the float64 latents round-trip exactly, so every
+    item has the bits ``generate_world`` gives it."""
+    settings = experiment.validate_manifest(make_tiny_manifest())
+    experiment._stage_world(settings, tmp_path)
+    ids, audio = experiment._item_waveforms(settings, tmp_path)
+    world = generate_world(settings["world"])
+    assert ids == world.item_ids and len(audio) == len(world.waveforms)
+    for i in range(len(audio)):
+        assert audio[i].samples.tobytes() == world.waveforms[i].samples.tobytes()
 
 
 def test_datasets_bad_file_still_fails_in_the_world_stage(tmp_path):

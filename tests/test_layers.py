@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cfdistill.nn.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
     BatchNorm,
     Conv2d,
     FullyConnected,
@@ -98,17 +100,18 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.var(axis=(0, 1, 2)), 1.0, atol=1e-4)
 
     def test_eval_mode_with_unit_stats_is_identity(self):
-        layer = BatchNorm(2, eps=1e-12)
+        layer = BatchNorm(2)
+        layer.running_var[...] = 1.0 - BN_EPS  # so that var + eps is 1
         x = np.random.default_rng(4).normal(size=(3, 2, 2, 2))
         y, _ = layer.forward(x, train=False)
         np.testing.assert_allclose(y, x, atol=1e-9)
 
     def test_running_stats_updated_in_train_only(self):
         rng = np.random.default_rng(5)
-        layer = BatchNorm(2, momentum=0.5)
+        layer = BatchNorm(2)
         x = rng.normal(loc=3.0, size=(16, 2))
         layer.forward(x, train=True)
-        np.testing.assert_allclose(layer.running_mean, 0.5 * x.mean(axis=0))
+        np.testing.assert_allclose(layer.running_mean, (1 - BN_MOMENTUM) * x.mean(axis=0))
         before = layer.running_mean.copy()
         layer.forward(x, train=False)
         np.testing.assert_array_equal(layer.running_mean, before)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cfdistill.nn.layers import BatchNorm
+from cfdistill.nn.layers import BN_EPS, BatchNorm
 from cfdistill.nn.network import (
     EVAL_BLOCK,
     LayerSpec,
@@ -149,14 +149,14 @@ class TestDoubleConv:
         assert y.shape == (1, 96, 1280, 8)
 
     def test_constructed_identity_is_relu_composition(self):
-        # BN as identity (eval mode, unit running stats, tiny eps), delta
-        # kernels, and an SE gate forced to one reduce the block to
-        # relu(relu(x)).
+        # BN as identity (eval mode, running mean 0, running variance
+        # 1 - eps), delta kernels, and an SE gate forced to one reduce the
+        # block to relu(relu(x)).
         specs = double_conv(2, se_ratio=2)
         model = build_network(specs, (5, 6, 2), seed=0)
         for layer in model.layers:
             if isinstance(layer, BatchNorm):
-                layer.eps = 1e-15
+                layer.running_var[...] = 1.0 - BN_EPS
             name = type(layer).__name__
             if name == "Conv2d":
                 layer.params["w"][...] = 0.0

@@ -210,25 +210,6 @@ class TestRegimeContracts:
         for key, value in before.items():
             np.testing.assert_array_equal(estimator.get_state()[key], value, err_msg=key)
 
-    @pytest.mark.parametrize("regime", ["fix", "kd"])
-    def test_given_teacher_trains_as_the_computed_one(self, regime):
-        rng = np.random.default_rng(16)
-        data = tiny_task_data(rng)
-        task = TaskSpec(kind="classification", n_classes=2)
-        estimator = make_estimator(seed=7)
-        config = RegimeConfig(regime=regime, epochs=3, batch_size=8, seed=8)
-        teacher = predict_network(estimator, data.features)
-        runs = [
-            train_task(task, data, TINY_SPECS, TINY_SHAPE, 2, config,
-                       cf_estimator=estimator, teacher=given)
-            for given in (None, teacher)
-        ]
-        (model_a, result_a), (model_b, result_b) = runs
-        for key, value in model_a.get_state().items():
-            np.testing.assert_array_equal(model_b.get_state()[key], value, err_msg=key)
-        assert result_a.curve == result_b.curve
-        assert result_a.metric_value == result_b.metric_value
-
     def test_head_is_the_task_networks_last_layer(self):
         rng = np.random.default_rng(17)
         data = tiny_task_data(rng, n_classes=3)
