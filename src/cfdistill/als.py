@@ -1,9 +1,11 @@
 """Implicit-feedback matrix factorization of listening logs.
 
-Play counts become confidence weights (c = 1 + alpha * r) over binary
-preferences, and user/item factor tables are fit by alternating exact
-ridge solves.  Item vectors are the transferable song representation the
-rest of the pipeline consumes.
+``build_interaction_matrix`` is the one reader of a log file: it codes ids
+as lines are read and returns the user-by-item count matrix.  Play counts
+become confidence weights (c = 1 + alpha * r) over binary preferences, and
+user/item factor tables are fit by alternating exact ridge solves.  Item
+vectors are the transferable song representation the rest of the pipeline
+consumes.
 """
 
 from __future__ import annotations
@@ -81,59 +83,14 @@ class UserItemMatrix:
         return self.counts.T.tocsr()
 
 
-@dataclass(frozen=True, eq=False)
-class Interactions:
-    """Listening logs as columns: entry j says that user ``user_ids[users[j]]``
-    played item ``item_ids[items[j]]`` ``counts[j]`` times."""
-
-    user_ids: list
-    item_ids: list
-    users: np.ndarray
-    items: np.ndarray
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-def _first_appearance(codes, ids):
-    """``codes`` renumbered 0, 1, ... in order of first appearance, and the ids
-    of the renumbered codes in that order (ids no entry uses are dropped)."""
-    used, first = np.unique(codes, return_index=True)
-    used = used[np.argsort(first, kind="stable")]
-    rank = np.empty(len(ids), dtype=np.intp)  # new code of each old code
-    rank[used] = np.arange(used.size)
-    return rank[codes], [ids[c] for c in used.tolist()]
-
-
-def build_interaction_matrix(logs: Interactions) -> UserItemMatrix:
-    """Aggregate interaction columns into a sparse count matrix.
-
-    Duplicate (user, item) pairs sum their counts; users and items are
-    indexed in order of first appearance in the columns (ids no entry uses
-    are dropped), so the result is deterministic for given columns.
-    """
-    if not len(logs):
-        raise ValueError("cannot build an interaction matrix from an empty log")
-    low = np.flatnonzero(logs.counts < 1)
-    if low.size:
-        raise ValueError(f"log count must be >= 1, got {logs.counts[low[0]]}")
-    rows, user_ids = _first_appearance(logs.users, logs.user_ids)
-    cols, item_ids = _first_appearance(logs.items, logs.item_ids)
-    counts = sp.coo_matrix(
-        (np.asarray(logs.counts, dtype=np.float64), (rows, cols)),
-        shape=(len(user_ids), len(item_ids)),
-    ).tocsr()
-    return UserItemMatrix(counts, user_ids, item_ids)
-
-
-def parse_log_file(path) -> Interactions:
-    """Parse tab-separated ``user_id<TAB>item_id[<TAB>count]`` lines (count
-    defaults to 1, blank lines are skipped) into columns, coding user and
-    item ids in order of first appearance as each line is read.  A bad line
-    raises ``ValueError`` naming ``path:lineno``, as does a line that is not
-    UTF-8; a line cut short can still parse, so a truncated file is not
-    detected."""
+def build_interaction_matrix(path) -> UserItemMatrix:
+    """Read a log file of tab-separated ``user_id<TAB>item_id[<TAB>count]``
+    lines (count defaults to 1, blank lines are skipped) into a sparse count
+    matrix.  User and item ids are coded in order of first appearance as
+    each line is read, and duplicate (user, item) pairs sum their counts, so
+    the matrix is deterministic for a given file.  A bad line raises
+    ``ValueError`` naming ``path:lineno``, as does a line that is not UTF-8;
+    a line cut short can still parse, so a truncated file is not detected."""
     user_index: dict = {}
     item_index: dict = {}
     users, items, counts = [], [], []
@@ -163,10 +120,13 @@ def parse_log_file(path) -> Interactions:
         counts.append(count)
     if not counts:
         raise ValueError(f"{path}: log file contains no interactions")
-    return Interactions(
-        list(user_index), list(item_index), np.array(users, dtype=np.int64),
-        np.array(items, dtype=np.int64), np.array(counts),
-    )
+    # Each list is freed once its array is made, so at most one is copied at a time.
+    counts = np.array(counts, dtype=np.float64)
+    users = np.array(users, dtype=np.int64)
+    items = np.array(items, dtype=np.int64)
+    shape = (len(user_index), len(item_index))
+    matrix = sp.coo_matrix((counts, (users, items)), shape=shape).tocsr()
+    return UserItemMatrix(matrix, list(user_index), list(item_index))
 
 
 @dataclass

@@ -35,7 +35,6 @@ from .als import (
     als_fit,
     item_vector,
     load_embedding,
-    parse_log_file,
     save_embedding,
 )
 from .evaluation import paired_improvement_test, stratified_kfold, stratified_split
@@ -83,11 +82,10 @@ SETTINGS = {
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name."""
+    """A pipeline stage failed; the message starts ``stage=<name>:``."""
 
     def __init__(self, stage, message):
         super().__init__(f"stage={stage}: {message}")
-        self.stage = stage
 
 
 def load_manifest(path):
@@ -311,10 +309,11 @@ def _load_labels_csv(path, task, item_ids=None):
 
 def _stage_world(settings, out_dir):
     """Write ``world/``.  In ``datasets`` mode the logs are parsed and every
-    audio file is read here, so a bad input fails in this stage; only the
-    labels are written.  Once the labels are written it builds every seed's
-    task splits, so a split that would be empty fails here and not after the
-    estimator has trained."""
+    audio file is read here, so a bad input, or an estimator item that the
+    logs never name, fails in this stage; only the labels are written.  Once
+    the labels are written it builds every seed's task splits, so a split
+    that would be empty fails here and not after the estimator has trained."""
+    logged = None  # the item ids of datasets.logs
     if settings["world"] is not None:
         write_world(generate_world(settings["world"]), out_dir / "world", audio=False)
     else:
@@ -322,11 +321,15 @@ def _stage_world(settings, out_dir):
         for path in paths.values():
             if not Path(path).exists():
                 raise ValueError(f"dataset path does not exist: {path}")
-        parse_log_file(paths["logs"])
+        logged = set(build_interaction_matrix(paths["logs"]).item_ids)
         item_ids, _ = read_audio_dir(paths["audio_dir"], settings["features"].sample_rate)
         labels = _load_labels_csv(paths["labels"], task, item_ids)
         _write_labels(out_dir / LABELS, item_ids, labels.values(), task.kind)
-    _, labels, n_est = _read_items(settings, out_dir)
+    item_ids, labels, n_est = _read_items(settings, out_dir)
+    unlogged = [i for i in item_ids[:n_est] if i not in logged] if logged is not None else []
+    if unlogged:
+        raise ValueError(f"{settings['datasets']['logs']}: estimator item {unlogged[0]!r} "
+                         "has no interactions")
     for seed in settings["seeds"]:
         for train_idx, val_idx, test_idx, _ in _make_splits(settings, labels[n_est:], seed):
             TaskData(None, None, train_idx, val_idx, test_idx)  # raises on an empty split
@@ -358,9 +361,8 @@ def read_audio_dir(audio_dir, sample_rate):
 
 def fit_embedding(log_path, config: AlsConfig, path):
     """Factorize a listening log file, save the item table; returns (matrix,
-    embedding).  The parsed columns are dropped once the matrix is built, so
-    the fit runs with one copy of the logs."""
-    matrix = build_interaction_matrix(parse_log_file(log_path))
+    embedding)."""
+    matrix = build_interaction_matrix(log_path)
     embedding = als_fit(matrix, config)
     save_embedding(embedding, path, meta={"alpha": config.alpha, "reg_lambda": config.reg_lambda})
     return matrix, embedding

@@ -7,6 +7,10 @@ are an affine function of the item latent; task labels derive from the
 same latent.  Structure in the logs therefore carries task-relevant
 information by construction, which is the premise the transfer regimes
 compete over.
+
+A world keeps its logs as integer columns (``Interactions``); the pipeline
+reads them only from the ``logs.tsv`` that ``experiment.write_world``
+writes, through ``als.build_interaction_matrix``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from .als import Interactions
 from .features import Waveform, Waveforms
 
 AMPLITUDE = 0.1  # overall output scale, keeps PCM headroom
@@ -64,6 +67,21 @@ class WorldConfig:
         return round(self.duration * self.sample_rate)
 
 
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """Listening logs as columns: entry j says that user ``user_ids[users[j]]``
+    played item ``item_ids[items[j]]`` ``counts[j]`` times."""
+
+    user_ids: list
+    item_ids: list
+    users: np.ndarray
+    items: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
 @dataclass
 class World:
     config: WorldConfig
@@ -72,7 +90,6 @@ class World:
     labels: np.ndarray
     item_ids: list
     item_latents: np.ndarray
-    user_latents: np.ndarray
 
 
 def band_energies(latent):
@@ -165,6 +182,7 @@ def item_waveforms(config: WorldConfig, item_latents) -> Waveforms:
 def generate_world(config: WorldConfig) -> World:
     """Sample a complete world; deterministic for a given config.
 
+    The user latents set the interaction probabilities and are not kept.
     The audio is not synthesized here: ``waveforms`` synthesizes each item
     when it is read.  Each item draws from its own generator, seeded by its
     index in the world, so its bytes do not depend on which slice or
@@ -208,5 +226,4 @@ def generate_world(config: WorldConfig) -> World:
         labels=labels,
         item_ids=item_ids,
         item_latents=item_latents,
-        user_latents=user_latents,
     )

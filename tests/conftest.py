@@ -1,5 +1,5 @@
 """Shared fixtures: a tiny, seconds-scale experiment manifest, preset
-networks and WAV files."""
+networks, WAV files and log files."""
 
 import copy
 import json
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from cfdistill.als import build_interaction_matrix
 from cfdistill.nn.network import PRESETS, build_network
 
 TINY_MANIFEST = {
@@ -76,3 +77,13 @@ def write_wav(path, samples, sample_rate):
     pcm = np.round(clipped * 32768.0).astype(np.int16)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     wavfile.write(path, int(sample_rate), pcm)
+
+
+def parsed_matrix(records, path):
+    """``(user_id, item_id, count)`` records written as ``logs.tsv`` lines (a
+    count of 1 with no count field), then read back by
+    ``build_interaction_matrix``."""
+    path.write_text("".join(
+        f"{u}\t{i}\n" if c == 1 else f"{u}\t{i}\t{c}\n" for u, i, c in records
+    ), encoding="utf-8")
+    return build_interaction_matrix(path)

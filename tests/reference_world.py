@@ -6,6 +6,9 @@ It was the library's code before the cached synthesis plan and the one
 batched FFT per item replaced it; the tests require the two to agree bit
 for bit.
 
+``user_latents`` redraws the user latents that ``generate_world`` uses for
+its interaction probabilities and does not keep.
+
 ``mean_canonical_correlation`` measures how well factorized embeddings
 recover the world's true latents, up to rotation.
 """
@@ -48,6 +51,14 @@ def item_waveform(config: WorldConfig, latent, item_index):
         wave += config.tone_level * amp * np.sqrt(2.0) * np.sin(2.0 * np.pi * center * t + phase)
     wave += config.noise_level * rng.standard_normal(n)
     return Waveform(AMPLITUDE * wave, config.sample_rate)
+
+
+def user_latents(config: WorldConfig):
+    """The user latents of the world ``config`` generates: its latent
+    generator draws the item uniforms, then the user normals."""
+    rng = np.random.default_rng([config.seed, 0])
+    rng.uniform(-1.0, 1.0, size=(config.n_items, config.latent_dim))
+    return rng.normal(0.0, 1.0, size=(config.n_users, config.latent_dim))
 
 
 def mean_canonical_correlation(a, b):

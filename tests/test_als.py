@@ -11,11 +11,10 @@ from cfdistill.als import (
     build_interaction_matrix,
     item_vector,
     load_embedding,
-    parse_log_file,
     save_embedding,
 )
-from log_columns import interactions
-from reference_als import weighted_loss
+from conftest import parsed_matrix
+from reference_als import build_interaction_matrix as record_matrix, weighted_loss
 
 
 def random_matrix(rng, n_users, n_items, density=0.3, max_count=5):
@@ -34,7 +33,7 @@ def random_matrix(rng, n_users, n_items, density=0.3, max_count=5):
                 logs.append(
                     (f"u{u}", f"i{i}", int(rng.integers(1, max_count + 1)))
                 )
-    return build_interaction_matrix(interactions(logs))
+    return record_matrix(logs)
 
 
 def dense_solve_oracle(fixed, matrix, config, side):
@@ -80,37 +79,39 @@ def dense_loss_oracle(matrix, emb, config):
 
 
 class TestBuildInteractionMatrix:
-    def test_distinct_pairs_one_entry_each(self):
+    def test_distinct_pairs_one_entry_each(self, tmp_path):
         logs = [
             ("a", "x", 1),
             ("b", "y", 1),
             ("c", "z", 1),
         ]
-        m = build_interaction_matrix(interactions(logs))
+        m = parsed_matrix(logs, tmp_path / "logs.tsv")
         assert m.nnz == 3
         assert (m.n_users, m.n_items) == (3, 3)
 
-    def test_duplicates_aggregate_by_sum(self):
+    def test_duplicates_aggregate_by_sum(self, tmp_path):
         logs = [
             ("u1", "i1", 1),
             ("u1", "i1", 1),
             ("u1", "i2", 1),
         ]
-        m = build_interaction_matrix(interactions(logs))
+        m = parsed_matrix(logs, tmp_path / "logs.tsv")
         assert m.nnz == 2
         assert m.counts[m.user_ids.index("u1"), m.item_ids.index("i1")] == 2
         assert m.counts[m.user_ids.index("u1"), m.item_ids.index("i2")] == 1
 
-    def test_empty_logs_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            build_interaction_matrix(interactions([]))
+    def test_empty_logs_rejected(self, tmp_path):
+        path = tmp_path / "logs.tsv"
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="contains no interactions"):
+            build_interaction_matrix(path)
 
-    def test_dimensions_match_distinct_ids(self):
+    def test_dimensions_match_distinct_ids(self, tmp_path):
         rng = np.random.default_rng(0)
         logs = [
             (f"u{rng.integers(8)}", f"i{rng.integers(12)}", 1) for _ in range(60)
         ]
-        m = build_interaction_matrix(interactions(logs))
+        m = parsed_matrix(logs, tmp_path / "logs.tsv")
         assert m.n_users == len({user for user, _, _ in logs})
         assert m.n_items == len({item for _, item, _ in logs})
 
@@ -120,7 +121,7 @@ class TestAlsSolveSide:
         # One user, one item, one play, one factor:
         # x = (1 + alpha) * y / (y^2 (1 + alpha) + lambda)
         y, lam, alpha = 0.7, 0.3, 5.0
-        m = build_interaction_matrix(interactions([("u", "i", 1)]))
+        m = record_matrix([("u", "i", 1)])
         config = AlsConfig(n_factors=1, reg_lambda=lam, alpha=alpha, scale_reg_by_count=False)
         fixed = np.array([[y]])
         x = als_solve_side(fixed, m, config, "user")
@@ -177,7 +178,7 @@ class TestAlsSolveSide:
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_degenerate_row_gets_zero_vector(self):
-        m = build_interaction_matrix(interactions([("u0", "i0", 1), ("u1", "i0", 1)]))
+        m = record_matrix([("u0", "i0", 1), ("u1", "i0", 1)])
         # item matrix has an all-zero row only if an item never occurs; force
         # a user row instead by solving the item side: i0 is the only item.
         config = AlsConfig(n_factors=2, reg_lambda=0.1, alpha=1.0)
@@ -186,7 +187,7 @@ class TestAlsSolveSide:
         assert got.shape == (1, 2)
 
     def test_dimension_mismatch_rejected(self):
-        m = build_interaction_matrix(interactions([("u", "i", 1)]))
+        m = record_matrix([("u", "i", 1)])
         config = AlsConfig(n_factors=3)
         with pytest.raises(ValueError, match="columns"):
             als_solve_side(np.ones((1, 2)), m, config, "user")
@@ -211,7 +212,7 @@ class TestWeightedLoss:
     def test_exact_fit_has_zero_data_term(self):
         # identity pattern: x_u = e_u, y_i = e_i reproduces p exactly
         logs = [("u0", "i0", 1), ("u1", "i1", 1)]
-        m = build_interaction_matrix(interactions(logs))
+        m = record_matrix(logs)
         emb = CfEmbedding(
             item_vectors=np.eye(2),
             user_vectors=np.eye(2),
@@ -235,7 +236,7 @@ class TestWeightedLoss:
         )
 
     def test_dimension_mismatch_rejected(self):
-        m = build_interaction_matrix(interactions([("u", "i", 1)]))
+        m = record_matrix([("u", "i", 1)])
         emb = CfEmbedding(
             item_vectors=np.ones((2, 3)),
             user_vectors=np.ones((1, 3)),
@@ -287,7 +288,7 @@ class TestAlsFit:
             for i in range(12)
             if scores[u, i] > threshold
         ]
-        m = build_interaction_matrix(interactions(logs))
+        m = record_matrix(logs)
         config = AlsConfig(n_factors=1, reg_lambda=0.05, alpha=40.0, n_iterations=20, seed=0)
         emb = als_fit(m, config)
         pred = emb.user_vectors @ emb.item_vectors.T
@@ -337,22 +338,22 @@ class TestLogParsing:
     def test_parse_with_and_without_counts(self, tmp_path):
         path = tmp_path / "logs.tsv"
         path.write_text("alice\tsong1\nbob\tsong2\t3\n", encoding="utf-8")
-        logs = parse_log_file(path)
-        assert (logs.user_ids, logs.item_ids) == (["alice", "bob"], ["song1", "song2"])
-        for column, want in [(logs.users, [0, 1]), (logs.items, [0, 1]), (logs.counts, [1, 3])]:
-            assert column.dtype == np.int64 and column.tolist() == want
+        m = build_interaction_matrix(path)
+        assert (m.user_ids, m.item_ids) == (["alice", "bob"], ["song1", "song2"])
+        assert m.counts.dtype == np.float64
+        assert m.counts.toarray().tolist() == [[1.0, 0.0], [0.0, 3.0]]
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("only_one_field\n", encoding="utf-8")
         with pytest.raises(ValueError, match="fields"):
-            parse_log_file(path)
+            build_interaction_matrix(path)
 
     def test_bad_count_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\tnot_a_number\n", encoding="utf-8")
         with pytest.raises(ValueError, match="integer"):
-            parse_log_file(path)
+            build_interaction_matrix(path)
 
 
 class TestConfigValidation:

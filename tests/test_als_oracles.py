@@ -1,4 +1,4 @@
-"""The columnar builder and the direct-LAPACK row solves against the slow
+"""The log file reader and the direct-LAPACK row solves against the slow
 references they replaced (``reference_als``), bit for bit.
 
 The fast path changes no arithmetic: the same products in the same order,
@@ -24,15 +24,13 @@ import reference_als as ref
 from cfdistill.als import (
     AlsConfig,
     UserItemMatrix,
-    _first_appearance,
     als_fit,
     als_solve_side,
     build_interaction_matrix,
-    parse_log_file,
 )
 from cfdistill.experiment import write_world
 from cfdistill.world import WorldConfig, generate_world
-from log_columns import interactions
+from conftest import parsed_matrix
 
 # Sparse enough that some of the 60 users never play any of the 20 items.
 SPARSE_WORLD = WorldConfig(n_users=60, n_items=20, seed=3, affinity_offset=-4.0, duration=0.125)
@@ -46,15 +44,6 @@ def random_logs(rng, n_users, n_items, n_logs, max_count=6):
          int(rng.integers(1, max_count + 1)))
         for _ in range(n_logs)
     ]
-
-
-def parsed_matrix(records, path):
-    """``records`` written as ``logs.tsv`` lines (a count of 1 with no count
-    field), then read back by ``parse_log_file`` into a matrix."""
-    path.write_text("".join(
-        f"{u}\t{i}\n" if c == 1 else f"{u}\t{i}\t{c}\n" for u, i, c in records
-    ), encoding="utf-8")
-    return build_interaction_matrix(parse_log_file(path))
 
 
 def assert_same_matrix(got, want):
@@ -95,12 +84,12 @@ class TestBuilderMatchesReference:
         assert_same_matrix(parsed_matrix(logs, tmp_path / "logs.tsv"),
                            ref.build_interaction_matrix(logs))
 
-    def test_bad_count_rejected_like_reference(self):
+    def test_bad_count_rejected_like_reference(self, tmp_path):
         logs = [("u", "i", 2), ("v", "i", 0)]
         with pytest.raises(ValueError, match="log count must be >= 1, got 0"):
             ref.build_interaction_matrix(logs)
-        with pytest.raises(ValueError, match="log count must be >= 1, got 0"):
-            build_interaction_matrix(interactions(logs))
+        with pytest.raises(ValueError, match=":2: count must be >= 1"):
+            parsed_matrix(logs, tmp_path / "logs.tsv")
 
     def test_world_columns(self, tmp_path):
         world = generate_world(SPARSE_WORLD)
@@ -109,41 +98,14 @@ class TestBuilderMatchesReference:
             (logs.user_ids[u], logs.item_ids[i], int(c))
             for u, i, c in zip(logs.users, logs.items, logs.counts)
         ]
-        got = build_interaction_matrix(logs)
-        assert got.n_users < SPARSE_WORLD.n_users  # a user with no interactions is dropped
-        assert_same_matrix(got, ref.build_interaction_matrix(records))
         # logs.tsv written from the columns is the record-by-record text,
-        # and parses back to the same matrix
-        write_world(world, tmp_path)
+        # and reads back to the record reference's matrix
+        write_world(world, tmp_path, audio=False)
         text = "".join(f"{u}\t{i}\t{c}\n" for u, i, c in records)
         assert (tmp_path / "logs.tsv").read_text(encoding="utf-8") == text
-        assert_same_matrix(build_interaction_matrix(parse_log_file(tmp_path / "logs.tsv")), got)
-
-
-class TestFirstAppearanceMatchesReference:
-    @staticmethod
-    def assert_same(codes, ids):
-        got_codes, got_ids = _first_appearance(codes, ids)
-        want_codes, want_ids = ref.first_appearance(codes, ids)
-        assert got_codes.dtype == want_codes.dtype
-        assert np.array_equal(got_codes, want_codes)
-        assert got_ids == want_ids
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_seeded_codes(self, seed):
-        rng = np.random.default_rng(seed)
-        self.assert_same(rng.integers(0, 40, size=500), [f"id{i}" for i in range(40)])
-
-    def test_unused_ids_are_dropped(self):
-        rng = np.random.default_rng(3)
-        codes = rng.choice([2, 5, 7, 11, 13], size=60)
-        self.assert_same(codes, [f"id{i}" for i in range(20)])
-
-    def test_single_id(self):
-        self.assert_same(np.zeros(4, dtype=np.int64), ["only"])
-
-    def test_codes_already_in_order(self):
-        self.assert_same(np.repeat(np.arange(6), 3), list("abcdef"))
+        got = build_interaction_matrix(tmp_path / "logs.tsv")
+        assert got.n_users < SPARSE_WORLD.n_users  # a user with no interactions is absent
+        assert_same_matrix(got, ref.build_interaction_matrix(records))
 
 
 class TestSolveMatchesReference:
@@ -164,7 +126,7 @@ class TestSolveMatchesReference:
     @pytest.mark.parametrize("scale_reg_by_count", [True, False])
     def test_fit_bitwise_equal(self, scale_reg_by_count):
         logs = random_logs(np.random.default_rng(5), 40, 30, 500)
-        m = build_interaction_matrix(interactions(logs))
+        m = ref.build_interaction_matrix(logs)
         config = AlsConfig(n_factors=8, n_iterations=3, seed=4,
                            scale_reg_by_count=scale_reg_by_count)
         emb = als_fit(m, config)
@@ -290,8 +252,8 @@ import sys
 import numpy as np
 sys.path.insert(0, {tests_dir!r})
 import reference_als as ref
-from cfdistill.als import AlsConfig, build_interaction_matrix, parse_log_file
-m = build_interaction_matrix(parse_log_file({str(logs)!r}))
+from cfdistill.als import AlsConfig, build_interaction_matrix
+m = build_interaction_matrix({str(logs)!r})
 config = AlsConfig(n_iterations={config.n_iterations})
 rng = np.random.default_rng(config.seed)
 users = rng.uniform(-0.01, 0.01, size=(m.n_users, config.n_factors))
@@ -303,6 +265,6 @@ np.save({str(tmp_path / "users.npy")!r}, users)
 np.save({str(tmp_path / "items.npy")!r}, items)
 """
         run_python(["-c", script], child_env(**PINNED))
-        emb = als_fit(build_interaction_matrix(parse_log_file(logs)), config)
+        emb = als_fit(build_interaction_matrix(logs), config)
         assert np.array_equal(emb.user_vectors, np.load(tmp_path / "users.npy"))
         assert np.array_equal(emb.item_vectors, np.load(tmp_path / "items.npy"))

@@ -30,7 +30,7 @@ import pytest
 from scipy.io import wavfile
 
 from cfdistill import fileio
-from cfdistill.als import parse_log_file
+from cfdistill.als import build_interaction_matrix
 from cfdistill.experiment import (_load_labels_csv, _write_labels, read_results_csv,
                                   write_results_csv)
 from cfdistill.nn.network import LayerSpec, build_network, load_checkpoint, save_checkpoint
@@ -41,7 +41,8 @@ from conftest import write_wav
 SEED = 15
 RATE = 16000
 ITEMS = ["i0", "i1", "i2"]
-LOG_TEXT = "u0\ti0\t3\nu1\ti1\t12\nu0\ti2\n"
+# In the matrix's row-major order, so a cut keeps a prefix of its entries.
+LOG_TEXT = "u0\ti0\t3\nu0\ti2\nu1\ti1\t12\n"
 
 
 def _ftab(path):
@@ -82,7 +83,7 @@ def _labels(path):
 
 def _logs(path):
     path.write_text(LOG_TEXT, encoding="utf-8")
-    return path, lambda p: parse_log_file(p)
+    return path, lambda p: build_interaction_matrix(p)
 
 
 def _results(path):
@@ -144,8 +145,9 @@ def _rows(parsed, name):
         return list(parsed.items())
     if name == "results":
         return [tuple(row.values()) for row in parsed]
+    entries = parsed.counts.tocoo()
     return [(parsed.user_ids[u], parsed.item_ids[i], int(c))
-            for u, i, c in zip(parsed.users, parsed.items, parsed.counts)]
+            for u, i, c in zip(entries.row, entries.col, entries.data)]
 
 
 def _digits(value):

@@ -417,6 +417,25 @@ class TestDatasetMode:
             run_experiment(manifest, out, deterministic=True)
         assert not (out / "embeddings").exists()
 
+    def test_estimator_item_missing_from_logs_fails_in_world_stage(self, tmp_path, capsys):
+        datasets = self._write_dataset(tmp_path / "data")
+        path = Path(datasets["logs"])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if "\tsong03\t" not in line),
+                        encoding="utf-8")
+        manifest = make_tiny_manifest(datasets=datasets)
+        del manifest["world"]
+        manifest["task"] = {"kind": "classification", "n_classes": 2, "metric": "accuracy"}
+        manifest["split"] = {"n_estimator_items": 6, "val_fraction": 0.2, "test_fraction": 0.25}
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", str(manifest_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"cfdistill: error: stage=world: {path}: estimator item 'song03' has no interactions\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "world"]
+
     def test_missing_dataset_path_fails_in_world_stage(self, tmp_path):
         manifest = make_tiny_manifest(
             datasets={"logs": "/nonexistent", "audio_dir": "/nope", "labels": "/nada"}
@@ -449,7 +468,7 @@ class TestStageList:
         out = tmp_path / "out"
         with pytest.raises(StageError) as info:
             run_experiment(make_tiny_manifest(), out, deterministic=True, stages=(stage,))
-        assert info.value.stage == stage
+        assert str(info.value).startswith(f"stage={stage}: ")
         assert str(out / missing) in str(info.value)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 

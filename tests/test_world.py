@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from cfdistill.als import AlsConfig, als_fit, build_interaction_matrix, item_vector
+from cfdistill.experiment import write_world
 from cfdistill.world import (
     WorldConfig,
     band_energies,
     generate_world,
     item_waveform,
 )
-from reference_world import mean_canonical_correlation
+from reference_world import mean_canonical_correlation, user_latents
 
 SMALL = WorldConfig(n_users=40, n_items=48, latent_dim=4, seed=5)
 
@@ -32,9 +33,11 @@ class TestLogsInvariants:
         assert logs.item_ids == small_world.item_ids
         assert set(logs.items.tolist()) == set(range(SMALL.n_items))
 
-    def test_matrix_round_trip(self, small_world):
-        m = build_interaction_matrix(small_world.interactions)
+    def test_matrix_round_trip(self, small_world, tmp_path):
+        write_world(small_world, tmp_path, audio=False)
+        m = build_interaction_matrix(tmp_path / "logs.tsv")
         assert m.n_items == SMALL.n_items
+        assert m.nnz == len(small_world.interactions)
 
     def test_deterministic_generation(self):
         a = generate_world(SMALL)
@@ -94,7 +97,7 @@ class TestAffinity:
         logs = world.interactions
         mask = np.zeros((world.config.n_users, world.config.n_items), dtype=bool)
         mask[logs.users, logs.items] = True
-        return world.user_latents @ world.item_latents.T, mask
+        return user_latents(world.config) @ world.item_latents.T, mask
 
     def test_sigmoid_limit_is_thresholding(self):
         config = WorldConfig(n_users=40, n_items=48, affinity_scale=1e8, affinity_offset=0.0,
@@ -144,9 +147,10 @@ class TestLabels:
 
 
 class TestSeparationProperty:
-    def test_als_embeddings_align_with_true_latents(self):
+    def test_als_embeddings_align_with_true_latents(self, tmp_path):
         world = generate_world(WorldConfig())
-        m = build_interaction_matrix(world.interactions)
+        write_world(world, tmp_path, audio=False)
+        m = build_interaction_matrix(tmp_path / "logs.tsv")
         emb = als_fit(m, AlsConfig(seed=11))
         vecs = np.stack([item_vector(emb, i) for i in world.item_ids])
         assert mean_canonical_correlation(vecs, world.item_latents) > 0.8
